@@ -2,9 +2,12 @@
 // triangular solves (scalar and blocked-panel), the ILUT row kernel and
 // the supernodal/blocked factorization (whole-matrix factorizations at
 // several sizes), the register-tile AXPY at each fixed width,
-// selection/dropping, Luby MIS rounds, and partitioning.
+// selection/dropping, Luby MIS rounds, partitioning, and the host cost of
+// one distributed SpMV and one distributed preconditioner apply on the
+// simulated machine (sequential backend).
 #include <benchmark/benchmark.h>
 
+#include "ptilu/dist/distcsr.hpp"
 #include "ptilu/graph/graph.hpp"
 #include "ptilu/graph/mis.hpp"
 #include "ptilu/ilu/block_kernels.hpp"
@@ -14,6 +17,9 @@
 #include "ptilu/ilu/trisolve.hpp"
 #include "ptilu/krylov/gmres.hpp"
 #include "ptilu/part/partition.hpp"
+#include "ptilu/pilut/pilut.hpp"
+#include "ptilu/pilut/trisolve_dist.hpp"
+#include "ptilu/sim/machine.hpp"
 #include "ptilu/sparse/spmv.hpp"
 #include "ptilu/support/rng.hpp"
 #include "ptilu/workloads/grids.hpp"
@@ -161,6 +167,50 @@ void BM_GmresCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GmresCycle);
+
+DistCsr g0_dist(int nranks) {
+  const Csr a = workloads::convection_diffusion_2d(128, 128, 10.0, 20.0);
+  return DistCsr::create(a, partition_kway(graph_from_pattern(a), nranks, {.seed = 1}));
+}
+
+/// G0 at 128², partitioned 16 ways, factored on a sequential-backend machine
+/// with checking and metrics off: the benchmarks below time the host work of
+/// the distributed solve layer without the factorization or GMRES around it.
+struct DistG0 {
+  static constexpr int kRanks = 16;
+  DistCsr dist = g0_dist(kRanks);
+  Halo halo = Halo::build(dist);
+  sim::Machine machine{kRanks, sim::Machine::Options{.check = false,
+                                                     .backend = sim::Backend::kSequential,
+                                                     .metrics = false}};
+  PilutResult fact = pilut_factor(machine, dist, {.m = 10, .tau = 1e-4});
+};
+
+void BM_DistSpmv(benchmark::State& state) {
+  DistG0 g;
+  const RealVec x = workloads::random_vector(g.dist.n(), 1);
+  RealVec y(x.size());
+  for (auto _ : state) {
+    dist_spmv(g.machine, g.dist, g.halo, x, y);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.dist.a.nnz());
+}
+BENCHMARK(BM_DistSpmv)->Unit(benchmark::kMicrosecond);
+
+void BM_DistTrisolveApply(benchmark::State& state) {
+  DistG0 g;
+  const DistTriangularSolver solver(g.fact.factors, g.fact.schedule);
+  const RealVec b = workloads::random_vector(g.dist.n(), 2);
+  RealVec x(b.size());
+  for (auto _ : state) {
+    solver.apply(g.machine, b, x);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (g.fact.factors.l.nnz() + g.fact.factors.u.nnz()));
+}
+BENCHMARK(BM_DistTrisolveApply)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ptilu

@@ -33,13 +33,24 @@ struct DistCsr {
 };
 
 /// Static communication lists for halo exchanges of vector values, built
-/// once from the matrix pattern (the paper's "communication setup phase").
+/// once from the matrix pattern (the paper's "communication setup phase"),
+/// plus the receive side's ghost layout so an exchange does no per-call
+/// list building or keyed lookup.
+///
+/// Rank r's ghosts occupy [ghost_ptr[r], ghost_ptr[r+1]) of a flat per-call
+/// buffer, laid out as its recv_lists entries end to end, and slot[k] (per
+/// matrix nonzero) is -1 when column col_idx[k] is owned by the row's rank,
+/// else that column's position in the rank's region. A halo is tied to the
+/// matrix and partition it was built from; dist_spmv rejects one whose
+/// shape does not match.
 struct Halo {
   /// send_lists[r] = { (peer, indices r owns and must ship to peer) },
   /// sorted by peer; indices ascending.
   std::vector<std::vector<std::pair<int, IdxVec>>> send_lists;
   /// recv_lists[r] = { (peer, indices r needs from peer) }, mirror image.
   std::vector<std::vector<std::pair<int, IdxVec>>> recv_lists;
+  std::vector<std::size_t> ghost_ptr;
+  IdxVec slot;
 
   static Halo build(const DistCsr& dist);
 

@@ -17,9 +17,24 @@
 
 namespace ptilu {
 
-/// Precomputed communication lists for the level-by-level solves. Built
-/// once per factorization (the setup cost is not part of the per-solve
-/// modeled time, matching how such solvers amortize setup in practice).
+/// The §5 solves, run from a communication plan built once per
+/// factorization (the setup cost is not part of the per-solve modeled time,
+/// matching how such solvers amortize setup in practice).
+///
+/// For each direction the plan holds, per (step, rank), the messages that
+/// rank posts after computing the step — (peer, rows) in ascending peer
+/// order, rows ascending — and, per factor nonzero, a ghost slot: -1 when
+/// the column is owned by the row's rank, else the column's position in
+/// that rank's dense ghost buffer. A level body drains its received values
+/// into those slots, reads `slot < 0 ? x[col] : ghost[slot]` in nonzero
+/// order, and replays its sends, so a solve does no per-call list building
+/// or keyed lookup. The scalar and batched solves share the plan.
+///
+/// Per-call state (the ghost buffers, decode scratch) lives in each call,
+/// one region per rank, so one solver may be shared by concurrent solves.
+/// The solver keeps pointers to `factors` and `schedule`: both must
+/// outlive it and stay unchanged; forward/backward reject factors whose
+/// shape no longer matches the plan, and machines of another rank count.
 class DistTriangularSolver {
  public:
   DistTriangularSolver(const IluFactors& factors, const PilutSchedule& schedule);
@@ -39,8 +54,7 @@ class DistTriangularSolver {
   /// peer the batched solve pays one message latency where k single-RHS
   /// solves pay k, which is the serving-throughput amortization
   /// (docs/SERVING.md). Column c of the result is bit-identical to the
-  /// single-RHS solve of column c (held by tests/test_serve.cpp); the
-  /// single-RHS paths above are untouched.
+  /// single-RHS solve of column c (held by tests/test_serve.cpp).
   void forward(sim::Machine& machine, const DenseRhsBlock& b, DenseRhsBlock& y) const;
   void backward(sim::Machine& machine, const DenseRhsBlock& y, DenseRhsBlock& x) const;
   void apply(sim::Machine& machine, const DenseRhsBlock& b, DenseRhsBlock& x) const;
@@ -53,15 +67,34 @@ class DistTriangularSolver {
   const PilutSchedule& schedule() const { return *schedule_; }
 
  private:
+  struct Send {
+    int peer = 0;
+    IdxVec rows;
+  };
+  /// One direction's exchange. Step 0 is the interior block, step 1 + l
+  /// interface level l.
+  struct Plan {
+    IdxVec slot;  ///< per factor nonzero (see the class comment)
+    /// Rank r's ghosts are [ghost_ptr[r], ghost_ptr[r+1]) of the per-call
+    /// buffer; ghost_col holds their columns, ascending per rank.
+    std::vector<std::size_t> ghost_ptr;
+    IdxVec ghost_col;
+    std::vector<std::vector<Send>> sends;  ///< [step * nranks + rank]
+  };
+
+  Plan build_plan(const Csr& m, bool upper) const;
+  void check_plan(const sim::Machine& machine) const;
+  template <int K>
+  void forward_cols(sim::Machine& machine, const real* b, real* y, int k) const;
+  template <int K>
+  void backward_cols(sim::Machine& machine, const real* y, real* x, int k) const;
+
   const IluFactors* factors_;
   const PilutSchedule* schedule_;
-  /// consumers_fwd_[j] (j an interface row, new id): ranks whose later rows
-  /// have L entries in column j. consumers_bwd_[j]: ranks whose earlier
-  /// rows have U entries in column j.
-  std::vector<std::vector<int>> consumers_fwd_;
-  std::vector<std::vector<int>> consumers_bwd_;
   /// Rows owned by each rank within each level: rows_of_level_[level][rank].
   std::vector<std::vector<IdxVec>> rows_of_level_;
+  Plan fwd_;  ///< over L
+  Plan bwd_;  ///< over U's off-diagonal entries
 };
 
 }  // namespace ptilu

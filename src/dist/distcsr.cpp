@@ -1,8 +1,7 @@
 #include "ptilu/dist/distcsr.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <tuple>
 
 #include "ptilu/sim/trace.hpp"
 #include "ptilu/support/check.hpp"
@@ -49,30 +48,55 @@ DistCsr DistCsr::create(Csr a, const Partition& p) {
 }
 
 Halo Halo::build(const DistCsr& dist) {
+  const int p = dist.nranks;
+  const Csr& a = dist.a;
   Halo halo;
-  halo.send_lists.resize(dist.nranks);
-  halo.recv_lists.resize(dist.nranks);
+  halo.send_lists.resize(p);
+  halo.recv_lists.resize(p);
+  halo.ghost_ptr.assign(static_cast<std::size_t>(p) + 1, 0);
+  halo.slot.assign(static_cast<std::size_t>(a.nnz()), -1);
 
-  // For each rank, the set of remote indices its owned rows reference.
-  for (int r = 0; r < dist.nranks; ++r) {
-    std::map<int, IdxVec> needs;  // peer -> indices (collected, then dedup)
+  // One pass per rank numbers its distinct remote columns in first-read
+  // order (`position`) and records the remote entries; sorting the columns
+  // by (owner, column) then yields the recv entries — consecutive runs per
+  // peer — and renumbers just those entries' slots.
+  IdxVec position(static_cast<std::size_t>(a.n_rows), -1);
+  std::vector<nnz_t> remote;
+  std::vector<std::tuple<int, idx, idx>> order;  // (owner, column, first-read number)
+  IdxVec renumber;
+  for (int r = 0; r < p; ++r) {
+    remote.clear();
+    order.clear();
     for (const idx row : dist.owned_rows[r]) {
-      for (nnz_t k = dist.a.row_ptr[row]; k < dist.a.row_ptr[row + 1]; ++k) {
-        const idx col = dist.a.col_idx[k];
-        const int peer = dist.owner[col];
-        if (peer != r) needs[peer].push_back(col);
+      for (nnz_t k = a.row_ptr[row]; k < a.row_ptr[row + 1]; ++k) {
+        const idx col = a.col_idx[k];
+        if (dist.owner[col] == r) continue;
+        if (position[col] < 0) {
+          position[col] = static_cast<idx>(order.size());
+          order.emplace_back(dist.owner[col], col, position[col]);
+        }
+        halo.slot[k] = position[col];
+        remote.push_back(k);
       }
     }
-    for (auto& [peer, indices] : needs) {
-      std::sort(indices.begin(), indices.end());
-      indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-      halo.recv_lists[r].emplace_back(peer, indices);
-      halo.send_lists[peer].emplace_back(r, std::move(indices));
+    std::sort(order.begin(), order.end());
+    renumber.resize(order.size());
+    for (std::size_t t = 0; t < order.size(); ++t) {
+      const auto [peer, col, first] = order[t];
+      if (t == 0 || std::get<0>(order[t - 1]) != peer) {
+        halo.recv_lists[r].emplace_back(peer, IdxVec{});
+      }
+      halo.recv_lists[r].back().second.push_back(col);
+      renumber[first] = static_cast<idx>(t);
+      position[col] = -1;
     }
-  }
-  for (auto& lists : halo.send_lists) {
-    std::sort(lists.begin(), lists.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const nnz_t k : remote) halo.slot[k] = renumber[halo.slot[k]];
+    // Ranks are visited in ascending order, so each send list stays sorted
+    // by peer.
+    for (const auto& [peer, indices] : halo.recv_lists[r]) {
+      halo.send_lists[peer].emplace_back(r, indices);
+    }
+    halo.ghost_ptr[r + 1] = halo.ghost_ptr[r] + order.size();
   }
   return halo;
 }
@@ -87,16 +111,24 @@ std::size_t Halo::total_exchanged() const {
 
 void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
                const RealVec& x, RealVec& y) {
-  PTILU_CHECK(machine.nranks() == dist.nranks, "machine/partition rank mismatch");
+  const int p = dist.nranks;
+  PTILU_CHECK(machine.nranks() == p, "machine/partition rank mismatch");
   PTILU_CHECK(x.size() == static_cast<std::size_t>(dist.n()) && y.size() == x.size(),
               "dist_spmv size mismatch");
+  PTILU_CHECK(halo.recv_lists.size() == static_cast<std::size_t>(p) &&
+                  halo.slot.size() == static_cast<std::size_t>(dist.a.nnz()),
+              "stale solve plan: halo built for "
+                  << halo.recv_lists.size() << " ranks, nnz=" << halo.slot.size()
+                  << "; called with " << p << " ranks, nnz=" << dist.a.nnz());
   sim::ScopedPhase phase(machine, "spmv");
+  // One ghost region per rank, written only by that rank's body.
+  RealVec ghost(halo.ghost_ptr.back());
+  std::vector<RealVec> scratch(static_cast<std::size_t>(machine.scratch_lanes()));
 
   // Superstep 1: ship boundary values.
   machine.step([&](sim::RankContext& ctx) {
-    const int r = ctx.rank();
-    RealVec values;
-    for (const auto& [peer, indices] : halo.send_lists[r]) {
+    RealVec& values = scratch[static_cast<std::size_t>(ctx.lane())];
+    for (const auto& [peer, indices] : halo.send_lists[ctx.rank()]) {
       values.resize(indices.size());
       for (std::size_t i = 0; i < indices.size(); ++i) values[i] = x[indices[i]];
       ctx.charge_mem(values.size() * sizeof(real));
@@ -107,27 +139,29 @@ void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
   // Superstep 2: receive ghosts, compute owned rows.
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    // Keyed lookups only — never iterated, so hash order cannot leak into
-    // modeled output (determinism-unordered-iter would flag traversal).
-    std::unordered_map<idx, real> ghost;
-    RealVec values;
-    for (const sim::Message& msg : ctx.recv_all()) {
+    RealVec& values = scratch[static_cast<std::size_t>(ctx.lane())];
+    real* g = ghost.data() + halo.ghost_ptr[r];
+    // Messages arrive in ascending sender order, one per recv entry, and
+    // the rank's ghost region is its recv entries laid end to end.
+    const auto& recv = halo.recv_lists[r];
+    const std::vector<sim::Message> inbox = ctx.recv_all();
+    PTILU_CHECK(inbox.size() == recv.size(),
+                "rank " << r << " expected " << recv.size() << " halo messages, got "
+                        << inbox.size());
+    real* next = g;
+    for (std::size_t e = 0; e < recv.size(); ++e) {
       values.clear();
-      sim::decode_reals_append(msg, values);
-      // Find the matching recv list for this peer.
-      const auto it = std::find_if(halo.recv_lists[r].begin(), halo.recv_lists[r].end(),
-                                   [&](const auto& entry) { return entry.first == msg.from; });
-      PTILU_CHECK(it != halo.recv_lists[r].end(), "unexpected halo message");
-      PTILU_CHECK(it->second.size() == values.size(), "halo message length mismatch");
-      for (std::size_t i = 0; i < values.size(); ++i) ghost.emplace(it->second[i], values[i]);
+      sim::decode_reals_append(inbox[e], values);
+      PTILU_CHECK(inbox[e].from == recv[e].first, "unexpected halo message");
+      PTILU_CHECK(recv[e].second.size() == values.size(), "halo message length mismatch");
+      next = std::copy(values.begin(), values.end(), next);
     }
     std::uint64_t flops = 0;
     for (const idx row : dist.owned_rows[r]) {
       real acc = 0.0;
       for (nnz_t k = dist.a.row_ptr[row]; k < dist.a.row_ptr[row + 1]; ++k) {
-        const idx col = dist.a.col_idx[k];
-        const real xv = dist.owner[col] == r ? x[col] : ghost.at(col);
-        acc += dist.a.values[k] * xv;
+        const idx s = halo.slot[k];
+        acc += dist.a.values[k] * (s < 0 ? x[dist.a.col_idx[k]] : g[s]);
       }
       flops += 2 * static_cast<std::uint64_t>(dist.a.row_nnz(row));
       y[row] = acc;

@@ -1,8 +1,9 @@
 #include "ptilu/pilut/trisolve_dist.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <limits>
+#include <ranges>
+#include <utility>
 
 #include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/sim/trace.hpp"
@@ -15,107 +16,234 @@ namespace {
 constexpr int kTagIdx = 20;
 constexpr int kTagVal = 21;
 
-void add_consumer(std::vector<std::vector<int>>& consumers, idx col, int rank) {
-  auto& list = consumers[col];
-  if (std::find(list.begin(), list.end(), rank) == list.end()) list.push_back(rank);
-}
-
-/// Ship the freshly computed values of `computed` (new ids owned by rank r)
-/// to their consumer ranks, batched per peer.
-void ship_values(sim::RankContext& ctx, const IdxVec& computed, const RealVec& x,
-                 const std::vector<std::vector<int>>& consumers) {
-  std::map<int, std::pair<IdxVec, RealVec>> batches;
-  for (const idx i : computed) {
-    for (const int peer : consumers[i]) {
-      batches[peer].first.push_back(i);
-      batches[peer].second.push_back(x[i]);
-    }
-  }
-  for (auto& [peer, batch] : batches) {
-    // Both call sites of this helper sit inside the solver's per-level
-    // ScopedPhase; the phase is inherited lexically by the caller, not here.
-    // ptilu-lint: allow(spmd-phase-coverage)
-    ctx.send_indices(peer, kTagIdx, batch.first);
-    ctx.send_reals(peer, kTagVal, batch.second);  // ptilu-lint: allow(spmd-phase-coverage)
-  }
-}
-
-/// Drain the level's inbound messages into the rank's ghost-value map.
-void drain_ghosts(sim::RankContext& ctx, std::unordered_map<idx, real>& ghost) {
-  IdxVec pending_idx;
-  RealVec pending_val;
-  // Called only from the solver's per-level ScopedPhase (phase inherited
-  // from the caller). ptilu-lint: allow(spmd-phase-coverage)
-  for (const sim::Message& msg : ctx.recv_all()) {
-    if (msg.tag == kTagIdx) {
-      sim::decode_indices_append(msg, pending_idx);
-    } else {
-      PTILU_CHECK(msg.tag == kTagVal, "unexpected message in triangular solve");
-      sim::decode_reals_append(msg, pending_val);
-    }
-  }
-  PTILU_CHECK(pending_idx.size() == pending_val.size(), "ghost batch mismatch");
-  for (std::size_t k = 0; k < pending_idx.size(); ++k) {
-    ghost[pending_idx[k]] = pending_val[k];
-  }
-}
-
-/// Ghost store for the batched solves: keyed offsets into k-strided value
-/// storage. Like the scalar ghost maps, `pos` is keyed-lookup-only — never
-/// iterated — so hash order cannot leak into modeled output.
-struct BlockGhost {
-  std::unordered_map<idx, std::size_t> pos;
-  RealVec vals;
+/// Per-lane working storage of one solve call (Machine::scratch_lanes).
+struct Lane {
+  IdxVec idx;
+  RealVec val;
+  RealVec acc;
 };
 
-/// Batched counterpart of ship_values: the per-peer message carries the k
-/// values of every computed index contiguously, so a level costs one
-/// (idx, val) message pair per peer regardless of the batch width — the
-/// alpha amortization the batched solve exists for.
-void ship_values_block(sim::RankContext& ctx, const IdxVec& computed,
-                       const DenseRhsBlock& x,
-                       const std::vector<std::vector<int>>& consumers) {
-  std::map<int, std::pair<IdxVec, RealVec>> batches;
-  for (const idx i : computed) {
-    for (const int peer : consumers[i]) {
-      auto& batch = batches[peer];
-      batch.first.push_back(i);
-      for (int c = 0; c < x.k; ++c) batch.second.push_back(x.at(i, c));
-    }
-  }
-  for (auto& [peer, batch] : batches) {
-    // Both call sites of this helper sit inside the solver's per-level
-    // ScopedPhase; the phase is inherited lexically by the caller, not here.
-    // ptilu-lint: allow(spmd-phase-coverage)
-    ctx.send_indices(peer, kTagIdx, batch.first);
-    ctx.send_reals(peer, kTagVal, batch.second);  // ptilu-lint: allow(spmd-phase-coverage)
-  }
+/// Position of entry i of column c among column-major vectors of length n.
+std::size_t at(int c, std::size_t n, idx i) {
+  return static_cast<std::size_t>(c) * n + static_cast<std::size_t>(i);
 }
 
-/// Drain the level's inbound batched messages into the rank's ghost store.
-void drain_ghosts_block(sim::RankContext& ctx, BlockGhost& ghost, int k) {
-  IdxVec pending_idx;
-  RealVec pending_val;
-  // Called only from the solver's per-level ScopedPhase (phase inherited
-  // from the caller). ptilu-lint: allow(spmd-phase-coverage)
-  for (const sim::Message& msg : ctx.recv_all()) {
-    if (msg.tag == kTagIdx) {
-      sim::decode_indices_append(msg, pending_idx);
+/// One row of a substitution over k right-hand sides stored column-major
+/// with stride n: acc = in[i] - sum_p m[p] * (slot[p] < 0 ? out[col] :
+/// ghost[slot[p]]) over the row's nonzeros in order, then out[i] = acc (L)
+/// or acc / pivot (U, whose first entry is the pivot). K > 0 fixes the
+/// width at compile time (the single-RHS solves use K = 1); K == 0 takes
+/// it from k. Per column the operations are exactly a single-RHS solve's.
+template <int K>
+void solve_row(const Csr& m, const IdxVec& slot, bool upper, idx i, const real* in,
+               real* out, std::size_t n, const real* ghost, int k, real* scratch) {
+  real fixed[K > 0 ? K : 1];
+  real* acc = K > 0 ? fixed : scratch;
+  const int w = K > 0 ? K : k;
+  for (int c = 0; c < w; ++c) acc[c] = in[at(c, n, i)];
+  const nnz_t start = m.row_ptr[i];
+  for (nnz_t p = upper ? start + 1 : start; p < m.row_ptr[i + 1]; ++p) {
+    const idx s = slot[p];
+    const real* src =
+        s < 0 ? out + m.col_idx[p] : ghost + static_cast<std::size_t>(s) * w;
+    const std::size_t stride = s < 0 ? n : 1;
+    if constexpr (K > 0) {
+      rhs_axpy<K>(acc, m.values[p], src, stride);
     } else {
-      PTILU_CHECK(msg.tag == kTagVal, "unexpected message in triangular solve");
-      sim::decode_reals_append(msg, pending_val);
+      rhs_axpy_any(k, acc, m.values[p], src, stride);
     }
   }
-  PTILU_CHECK(pending_val.size() == pending_idx.size() * static_cast<std::size_t>(k),
-              "ghost batch mismatch");
-  for (std::size_t t = 0; t < pending_idx.size(); ++t) {
-    const std::size_t off = ghost.vals.size();
-    for (int c = 0; c < k; ++c) ghost.vals.push_back(pending_val[t * k + c]);
-    ghost.pos.insert_or_assign(pending_idx[t], off);
-  }
+  const real pivot = upper ? m.values[start] : 1.0;
+  for (int c = 0; c < w; ++c) out[at(c, n, i)] = upper ? acc[c] / pivot : acc[c];
 }
+
+/// Per-call state of one sweep: one dense ghost region per rank over the
+/// plan's ghost columns (NaN until drained, so a value the plan failed to
+/// deliver cannot be read silently as a stale one) and per-lane scratch,
+/// plus the sweep's receive and send halves.
+class CallState {
+ public:
+  CallState(const sim::Machine& machine, const IdxVec& ghost_col,
+            const std::vector<std::size_t>& ghost_ptr, int k)
+      : ghost_col_(ghost_col),
+        ghost_ptr_(ghost_ptr),
+        k_(k),
+        ghost_(ghost_col.size() * static_cast<std::size_t>(k),
+               std::numeric_limits<real>::quiet_NaN()),
+        lanes_(static_cast<std::size_t>(machine.scratch_lanes())) {
+    for (Lane& lane : lanes_) lane.acc.resize(static_cast<std::size_t>(k));
+  }
+
+  Lane& lane(const sim::RankContext& ctx) {
+    return lanes_[static_cast<std::size_t>(ctx.lane())];
+  }
+  real* ghost(int r) { return ghost_.data() + ghost_ptr_[r] * k_; }
+
+  /// Drain the step's inbound (idx, val) pairs into the rank's ghost region:
+  /// each received row is located among the rank's ascending ghost columns,
+  /// and its k values land in that slot.
+  void drain(sim::RankContext& ctx) {
+    const int r = ctx.rank();
+    Lane& scratch = lane(ctx);
+    scratch.idx.clear();
+    scratch.val.clear();
+    // Called only from the solver's per-level ScopedPhase (phase inherited
+    // from the caller). ptilu-lint: allow(spmd-phase-coverage)
+    for (const sim::Message& msg : ctx.recv_all()) {
+      if (msg.tag == kTagIdx) {
+        sim::decode_indices_append(msg, scratch.idx);
+      } else {
+        PTILU_CHECK(msg.tag == kTagVal, "unexpected message in triangular solve");
+        sim::decode_reals_append(msg, scratch.val);
+      }
+    }
+    PTILU_CHECK(scratch.val.size() == scratch.idx.size() * static_cast<std::size_t>(k_),
+                "ghost batch mismatch: " << scratch.idx.size() << " indices, "
+                                         << scratch.val.size() << " values, k=" << k_);
+    const auto first = ghost_col_.begin() + static_cast<std::ptrdiff_t>(ghost_ptr_[r]);
+    const auto last = ghost_col_.begin() + static_cast<std::ptrdiff_t>(ghost_ptr_[r + 1]);
+    for (std::size_t t = 0; t < scratch.idx.size(); ++t) {
+      const idx j = scratch.idx[t];
+      const auto it = std::lower_bound(first, last, j);
+      PTILU_CHECK(it != last && *it == j,
+                  "rank " << r << " received row " << j
+                          << ", which none of its rows reads");
+      std::copy_n(scratch.val.begin() + static_cast<std::ptrdiff_t>(t * k_), k_,
+                  ghost(r) + static_cast<std::size_t>(it - first) * k_);
+    }
+  }
+
+  /// Post the step's planned messages: per peer, the rows, then their k
+  /// values each.
+  template <typename Sends>
+  void ship(sim::RankContext& ctx, const Sends& sends, const real* x, std::size_t n) {
+    RealVec& values = lane(ctx).val;
+    for (const auto& send : sends) {
+      values.clear();
+      for (const idx i : send.rows) {
+        for (int c = 0; c < k_; ++c) values.push_back(x[at(c, n, i)]);
+      }
+      // Every call site sits inside the solver's per-level ScopedPhase; the
+      // phase is inherited lexically by the caller, not here.
+      // ptilu-lint: allow(spmd-phase-coverage)
+      ctx.send_indices(send.peer, kTagIdx, send.rows);
+      // ptilu-lint: allow(spmd-phase-coverage)
+      ctx.send_reals(send.peer, kTagVal, values);
+    }
+  }
+
+ private:
+  const IdxVec& ghost_col_;
+  const std::vector<std::size_t>& ghost_ptr_;
+  int k_;
+  RealVec ghost_;
+  std::vector<Lane> lanes_;
+};
 
 }  // namespace
+
+DistTriangularSolver::Plan DistTriangularSolver::build_plan(const Csr& m,
+                                                            bool upper) const {
+  const PilutSchedule& sched = *schedule_;
+  const int p = sched.nranks;
+  const idx n = m.n_rows;
+  const auto first_entry = [&](idx i) { return upper ? m.row_ptr[i] + 1 : m.row_ptr[i]; };
+  Plan plan;
+  plan.slot.assign(static_cast<std::size_t>(m.nnz()), -1);
+  plan.ghost_ptr.assign(static_cast<std::size_t>(p) + 1, 0);
+
+  const int q = sched.levels();
+  // Rank r's rows: its interior block, then its rows of each level.
+  const auto for_rows_of = [&](int r, auto&& fn) {
+    const auto [begin, end] = sched.interior_range[r];
+    for (idx i = begin; i < end; ++i) fn(i);
+    for (int level = 0; level < q; ++level) {
+      for (const idx i : rows_of_level_[level][r]) fn(i);
+    }
+  };
+
+  // Ghosts: the distinct remote columns each rank's rows read, ascending.
+  // A row may reference any column of another rank: with the plain PILUT
+  // schedule only interface columns cross ranks, but the nested variant
+  // migrates interface rows, so interior columns can have remote readers.
+  // One pass per rank numbers its ghosts in first-read order (`position`)
+  // and records the remote entries; sorting the ghosts then renumbers
+  // just those entries.
+  IdxVec position(static_cast<std::size_t>(n), -1);
+  std::vector<nnz_t> remote;
+  std::vector<std::pair<idx, idx>> order;  // (column, first-read number)
+  IdxVec renumber;
+  for (int r = 0; r < p; ++r) {
+    remote.clear();
+    order.clear();
+    for_rows_of(r, [&](idx i) {
+      for (nnz_t e = first_entry(i); e < m.row_ptr[i + 1]; ++e) {
+        const idx j = m.col_idx[e];
+        if (sched.owner_new[j] == r) continue;
+        if (position[j] < 0) {
+          position[j] = static_cast<idx>(order.size());
+          order.emplace_back(j, position[j]);
+        }
+        plan.slot[e] = position[j];
+        remote.push_back(e);
+      }
+    });
+    std::sort(order.begin(), order.end());
+    renumber.resize(order.size());
+    for (std::size_t g = 0; g < order.size(); ++g) {
+      const auto [col, first] = order[g];
+      plan.ghost_col.push_back(col);
+      renumber[first] = static_cast<idx>(g);
+      position[col] = -1;
+    }
+    for (const nnz_t e : remote) plan.slot[e] = renumber[plan.slot[e]];
+    plan.ghost_ptr[r + 1] = plan.ghost_col.size();
+  }
+
+  // Readers of each column, ascending rank: a counting sort of the ghosts.
+  std::vector<std::size_t> reader_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (const idx j : plan.ghost_col) ++reader_ptr[static_cast<std::size_t>(j) + 1];
+  for (idx j = 0; j < n; ++j) reader_ptr[j + 1] += reader_ptr[j];
+  std::vector<int> reader(plan.ghost_col.size());
+  {
+    std::vector<std::size_t> fill(reader_ptr.begin(), reader_ptr.end() - 1);
+    for (int r = 0; r < p; ++r) {
+      for (std::size_t g = plan.ghost_ptr[r]; g < plan.ghost_ptr[r + 1]; ++g) {
+        reader[fill[plan.ghost_col[g]]++] = r;
+      }
+    }
+  }
+
+  // Sends: after computing a step, a rank ships each computed row to every
+  // reader, batched per peer in ascending peer order, rows in row order.
+  // The backward interior step ships nothing: no later step reads it.
+  plan.sends.resize(static_cast<std::size_t>(q + 1) * static_cast<std::size_t>(p));
+  std::vector<IdxVec> by_peer(static_cast<std::size_t>(p));
+  std::vector<int> peers;
+  const auto plan_step = [&](int step, int r, const auto& rows) {
+    for (const idx i : rows) {
+      for (std::size_t e = reader_ptr[i]; e < reader_ptr[i + 1]; ++e) {
+        IdxVec& batch = by_peer[reader[e]];
+        if (batch.empty()) peers.push_back(reader[e]);
+        batch.push_back(i);
+      }
+    }
+    std::sort(peers.begin(), peers.end());
+    auto& out = plan.sends[static_cast<std::size_t>(step) * p + r];
+    for (const int peer : peers) {
+      out.push_back(Send{peer, std::exchange(by_peer[peer], {})});
+    }
+    peers.clear();
+  };
+  for (int r = 0; r < p && !upper; ++r) {
+    const auto [begin, end] = sched.interior_range[r];
+    plan_step(0, r, std::views::iota(begin, end));
+  }
+  for (int level = 0; level < q; ++level) {
+    for (int r = 0; r < p; ++r) plan_step(level + 1, r, rows_of_level_[level][r]);
+  }
+  return plan;
+}
 
 DistTriangularSolver::DistTriangularSolver(const IluFactors& factors,
                                            const PilutSchedule& schedule)
@@ -123,31 +251,6 @@ DistTriangularSolver::DistTriangularSolver(const IluFactors& factors,
   const idx n = factors.n();
   PTILU_CHECK(static_cast<std::size_t>(n) == schedule.newnum.size(),
               "factors/schedule size mismatch");
-  consumers_fwd_.resize(n);
-  consumers_bwd_.resize(n);
-
-  // Forward: a row may reference any earlier column on another rank (with
-  // the plain PILUT schedule only interface columns cross ranks, but the
-  // nested variant migrates interface rows, so interior columns can have
-  // remote consumers too).
-  const Csr& l = factors.l;
-  for (idx i = 0; i < n; ++i) {
-    const int owner_i = schedule.owner_new[i];
-    for (nnz_t k = l.row_ptr[i]; k < l.row_ptr[i + 1]; ++k) {
-      const idx j = l.col_idx[k];
-      if (schedule.owner_new[j] != owner_i) add_consumer(consumers_fwd_, j, owner_i);
-    }
-  }
-  // Backward: symmetric situation for later columns.
-  const Csr& u = factors.u;
-  for (idx i = 0; i < n; ++i) {
-    const int owner_i = schedule.owner_new[i];
-    for (nnz_t k = u.row_ptr[i] + 1; k < u.row_ptr[i + 1]; ++k) {
-      const idx j = u.col_idx[k];
-      if (schedule.owner_new[j] != owner_i) add_consumer(consumers_bwd_, j, owner_i);
-    }
-  }
-
   const int q = schedule.levels();
   rows_of_level_.assign(q, std::vector<IdxVec>(schedule.nranks));
   for (int level = 0; level < q; ++level) {
@@ -155,17 +258,47 @@ DistTriangularSolver::DistTriangularSolver(const IluFactors& factors,
       rows_of_level_[level][schedule.owner_new[i]].push_back(i);
     }
   }
+  fwd_ = build_plan(factors.l, false);
+  bwd_ = build_plan(factors.u, true);
 }
 
-void DistTriangularSolver::forward(sim::Machine& machine, const RealVec& b,
-                                   RealVec& y) const {
+void DistTriangularSolver::check_plan(const sim::Machine& machine) const {
+  const Csr& l = factors_->l;
+  const Csr& u = factors_->u;
+  PTILU_CHECK(machine.nranks() == schedule_->nranks &&
+                  fwd_.slot.size() == static_cast<std::size_t>(l.nnz()) &&
+                  bwd_.slot.size() == static_cast<std::size_t>(u.nnz()) &&
+                  l.n_rows == u.n_rows &&
+                  static_cast<std::size_t>(l.n_rows) == schedule_->newnum.size(),
+              "stale solve plan: solver built for "
+                  << schedule_->nranks << " ranks, nnz(L)=" << fwd_.slot.size()
+                  << ", nnz(U)=" << bwd_.slot.size() << ", n=" << schedule_->newnum.size()
+                  << "; called with " << machine.nranks() << " ranks, nnz(L)=" << l.nnz()
+                  << ", nnz(U)=" << u.nnz() << ", n=" << l.n_rows);
+}
+
+// ---- Level-scheduled sweeps over k column-major right-hand sides --------
+//
+// Interior + level supersteps as in §5: every row carries its k columns
+// through one sweep and every per-peer level message ships k values per
+// row. The single-RHS solves are the k = 1 instantiation, so column c of a
+// batched solve is bit-identical to the single-RHS solve of column c.
+
+template <int K>
+void DistTriangularSolver::forward_cols(sim::Machine& machine, const real* b, real* y,
+                                        int k) const {
+  check_plan(machine);
   const PilutSchedule& sched = *schedule_;
   const Csr& l = factors_->l;
-  PTILU_CHECK(b.size() == static_cast<std::size_t>(l.n_rows) && y.size() == b.size(),
-              "forward size mismatch");
-  // Ghost maps are keyed lookups only — never iterated, so hash order
-  // cannot leak into modeled output.
-  std::vector<std::unordered_map<idx, real>> ghost(sched.nranks);
+  const Plan& plan = fwd_;
+  const std::size_t n = static_cast<std::size_t>(l.n_rows);
+  const std::size_t p = static_cast<std::size_t>(sched.nranks);
+  CallState state(machine, plan.ghost_col, plan.ghost_ptr, k);
+  // Solves row i against a rank's ghost region; returns its flops.
+  const auto solve = [&](idx i, const real* ghost, real* acc) {
+    solve_row<K>(l, plan.slot, false, i, b, y, n, ghost, k, acc);
+    return 2 * static_cast<std::uint64_t>(l.row_nnz(i)) * static_cast<std::uint64_t>(k);
+  };
   sim::ScopedPhase solve_phase(machine, "trisolve/forward");
 
   // Phase 1: interior blocks — local work (interior rows only reference
@@ -175,20 +308,12 @@ void DistTriangularSolver::forward(sim::Machine& machine, const RealVec& b,
   sim::ScopedPhase span(machine, "interior");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
+    Lane& lane = state.lane(ctx);
     const auto [begin, end] = sched.interior_range[r];
     std::uint64_t flops = 0;
-    IdxVec computed;
-    for (idx i = begin; i < end; ++i) {
-      real acc = b[i];
-      for (nnz_t k = l.row_ptr[i]; k < l.row_ptr[i + 1]; ++k) {
-        acc -= l.values[k] * y[l.col_idx[k]];
-      }
-      flops += 2 * static_cast<std::uint64_t>(l.row_nnz(i));
-      y[i] = acc;
-      if (!consumers_fwd_[i].empty()) computed.push_back(i);
-    }
+    for (idx i = begin; i < end; ++i) flops += solve(i, state.ghost(r), lane.acc.data());
     ctx.charge_flops(flops);
-    ship_values(ctx, computed, y, consumers_fwd_);
+    state.ship(ctx, plan.sends[static_cast<std::size_t>(r)], y, n);
   }, "trisolve/fwd/interior");
   }
 
@@ -197,21 +322,14 @@ void DistTriangularSolver::forward(sim::Machine& machine, const RealVec& b,
   for (int level = 0; level < levels(); ++level) {
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      drain_ghosts(ctx, ghost[r]);
+      Lane& lane = state.lane(ctx);
+      state.drain(ctx);
       std::uint64_t flops = 0;
-      const IdxVec& rows = rows_of_level_[level][r];
-      for (const idx i : rows) {
-        real acc = b[i];
-        for (nnz_t k = l.row_ptr[i]; k < l.row_ptr[i + 1]; ++k) {
-          const idx j = l.col_idx[k];
-          const real value = sched.owner_new[j] == r ? y[j] : ghost[r].at(j);
-          acc -= l.values[k] * value;
-        }
-        flops += 2 * static_cast<std::uint64_t>(l.row_nnz(i));
-        y[i] = acc;
+      for (const idx i : rows_of_level_[level][r]) {
+        flops += solve(i, state.ghost(r), lane.acc.data());
       }
       ctx.charge_flops(flops);
-      ship_values(ctx, rows, y, consumers_fwd_);
+      state.ship(ctx, plan.sends[(static_cast<std::size_t>(level) + 1) * p + r], y, n);
     }, "trisolve/fwd/level");
   }
   // Drain any values shipped by the last level (no one consumes them in the
@@ -221,14 +339,22 @@ void DistTriangularSolver::forward(sim::Machine& machine, const RealVec& b,
   machine.check_quiescent("trisolve/fwd/end");
 }
 
-void DistTriangularSolver::backward(sim::Machine& machine, const RealVec& yin,
-                                    RealVec& x) const {
+template <int K>
+void DistTriangularSolver::backward_cols(sim::Machine& machine, const real* yin, real* x,
+                                         int k) const {
+  check_plan(machine);
   const PilutSchedule& sched = *schedule_;
   const Csr& u = factors_->u;
-  PTILU_CHECK(yin.size() == static_cast<std::size_t>(u.n_rows) && x.size() == yin.size(),
-              "backward size mismatch");
-  // Keyed lookups only — never iterated (see forward_solve).
-  std::vector<std::unordered_map<idx, real>> ghost(sched.nranks);
+  const Plan& plan = bwd_;
+  const std::size_t n = static_cast<std::size_t>(u.n_rows);
+  const std::size_t p = static_cast<std::size_t>(sched.nranks);
+  CallState state(machine, plan.ghost_col, plan.ghost_ptr, k);
+  // Solves row i against a rank's ghost region; returns its flops.
+  const auto solve = [&](idx i, const real* ghost, real* acc) {
+    solve_row<K>(u, plan.slot, true, i, yin, x, n, ghost, k, acc);
+    return (2 * static_cast<std::uint64_t>(u.row_nnz(i)) + 1) *
+           static_cast<std::uint64_t>(k);
+  };
   sim::ScopedPhase solve_phase(machine, "trisolve/backward");
 
   // Phase 1: interface levels in reverse order.
@@ -237,26 +363,18 @@ void DistTriangularSolver::backward(sim::Machine& machine, const RealVec& yin,
   for (int level = levels() - 1; level >= 0; --level) {
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      drain_ghosts(ctx, ghost[r]);
+      Lane& lane = state.lane(ctx);
+      state.drain(ctx);
       std::uint64_t flops = 0;
       const IdxVec& rows = rows_of_level_[level][r];
       // Descending order within the level: plain PILUT levels are
       // independent sets (order irrelevant), but the nested variant's
       // stages carry same-host sequential dependencies.
       for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-        const idx i = *it;
-        const nnz_t start = u.row_ptr[i];
-        real acc = yin[i];
-        for (nnz_t k = start + 1; k < u.row_ptr[i + 1]; ++k) {
-          const idx j = u.col_idx[k];
-          const real value = sched.owner_new[j] == r ? x[j] : ghost[r].at(j);
-          acc -= u.values[k] * value;
-        }
-        flops += 2 * static_cast<std::uint64_t>(u.row_nnz(i)) + 1;
-        x[i] = acc / u.values[start];
+        flops += solve(*it, state.ghost(r), lane.acc.data());
       }
       ctx.charge_flops(flops);
-      ship_values(ctx, rows, x, consumers_bwd_);
+      state.ship(ctx, plan.sends[(static_cast<std::size_t>(level) + 1) * p + r], x, n);
     }, "trisolve/bwd/level");
   }
   }
@@ -268,24 +386,33 @@ void DistTriangularSolver::backward(sim::Machine& machine, const RealVec& yin,
   sim::ScopedPhase span(machine, "interior");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    drain_ghosts(ctx, ghost[r]);
+    Lane& lane = state.lane(ctx);
+    state.drain(ctx);
     const auto [begin, end] = sched.interior_range[r];
     std::uint64_t flops = 0;
     for (idx i = end - 1; i >= begin; --i) {
-      const nnz_t start = u.row_ptr[i];
-      real acc = yin[i];
-      for (nnz_t k = start + 1; k < u.row_ptr[i + 1]; ++k) {
-        const idx j = u.col_idx[k];
-        const real value = sched.owner_new[j] == r ? x[j] : ghost[r].at(j);
-        acc -= u.values[k] * value;
-      }
-      flops += 2 * static_cast<std::uint64_t>(u.row_nnz(i)) + 1;
-      x[i] = acc / u.values[start];
+      flops += solve(i, state.ghost(r), lane.acc.data());
     }
     ctx.charge_flops(flops);
   }, "trisolve/bwd/interior");
   }
   machine.check_quiescent("trisolve/bwd/end");
+}
+
+void DistTriangularSolver::forward(sim::Machine& machine, const RealVec& b,
+                                   RealVec& y) const {
+  PTILU_CHECK(b.size() == static_cast<std::size_t>(factors_->l.n_rows) &&
+                  y.size() == b.size(),
+              "forward size mismatch");
+  forward_cols<1>(machine, b.data(), y.data(), 1);
+}
+
+void DistTriangularSolver::backward(sim::Machine& machine, const RealVec& yin,
+                                    RealVec& x) const {
+  PTILU_CHECK(yin.size() == static_cast<std::size_t>(factors_->u.n_rows) &&
+                  x.size() == yin.size(),
+              "backward size mismatch");
+  backward_cols<1>(machine, yin.data(), x.data(), 1);
 }
 
 void DistTriangularSolver::apply(sim::Machine& machine, const RealVec& b,
@@ -295,161 +422,18 @@ void DistTriangularSolver::apply(sim::Machine& machine, const RealVec& b,
   backward(machine, y, x);
 }
 
-// ---- Batched multi-RHS solves ------------------------------------------
-//
-// Structurally the same interior + level supersteps as the scalar solves
-// above (same phases, same superstep count), but every row carries its k
-// columns through one sweep and every per-peer level message ships k
-// values per index instead of one. Per column the accumulation order is
-// exactly the scalar solve's, so column c of the result is bit-identical
-// to a single-RHS solve of column c. The scalar paths stay untouched —
-// they are pinned bit-exact by the existing differential suites.
-
 void DistTriangularSolver::forward(sim::Machine& machine, const DenseRhsBlock& b,
                                    DenseRhsBlock& y) const {
-  const PilutSchedule& sched = *schedule_;
-  const Csr& l = factors_->l;
-  PTILU_CHECK(b.n == l.n_rows && y.n == b.n && b.k == y.k && b.k >= 1,
+  PTILU_CHECK(b.n == factors_->l.n_rows && y.n == b.n && b.k == y.k && b.k >= 1,
               "batched forward block shape mismatch");
-  const int k = b.k;
-  const std::size_t stride = static_cast<std::size_t>(b.n);
-  std::vector<BlockGhost> ghost(sched.nranks);
-  sim::ScopedPhase solve_phase(machine, "trisolve/forward");
-
-  {
-  sim::ScopedPhase span(machine, "interior");
-  machine.step([&](sim::RankContext& ctx) {
-    const int r = ctx.rank();
-    const auto [begin, end] = sched.interior_range[r];
-    std::uint64_t flops = 0;
-    IdxVec computed;
-    RealVec acc(static_cast<std::size_t>(k));
-    for (idx i = begin; i < end; ++i) {
-      for (int c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = b.at(i, c);
-      for (nnz_t kk = l.row_ptr[i]; kk < l.row_ptr[i + 1]; ++kk) {
-        rhs_axpy_any(k, acc.data(), l.values[kk], y.data.data() + l.col_idx[kk],
-                     stride);
-      }
-      flops += 2 * static_cast<std::uint64_t>(l.row_nnz(i)) *
-               static_cast<std::uint64_t>(k);
-      for (int c = 0; c < k; ++c) y.at(i, c) = acc[static_cast<std::size_t>(c)];
-      if (!consumers_fwd_[i].empty()) computed.push_back(i);
-    }
-    ctx.charge_flops(flops);
-    ship_values_block(ctx, computed, y, consumers_fwd_);
-  }, "trisolve/fwd/interior");
-  }
-
-  sim::ScopedPhase levels_span(machine, "levels");
-  for (int level = 0; level < levels(); ++level) {
-    machine.step([&](sim::RankContext& ctx) {
-      const int r = ctx.rank();
-      drain_ghosts_block(ctx, ghost[r], k);
-      std::uint64_t flops = 0;
-      RealVec acc(static_cast<std::size_t>(k));
-      const IdxVec& rows = rows_of_level_[level][r];
-      for (const idx i : rows) {
-        for (int c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = b.at(i, c);
-        for (nnz_t kk = l.row_ptr[i]; kk < l.row_ptr[i + 1]; ++kk) {
-          const idx j = l.col_idx[kk];
-          if (sched.owner_new[j] == r) {
-            rhs_axpy_any(k, acc.data(), l.values[kk], y.data.data() + j, stride);
-          } else {
-            rhs_axpy_any(k, acc.data(), l.values[kk],
-                         ghost[r].vals.data() + ghost[r].pos.at(j), 1);
-          }
-        }
-        flops += 2 * static_cast<std::uint64_t>(l.row_nnz(i)) *
-                 static_cast<std::uint64_t>(k);
-        for (int c = 0; c < k; ++c) y.at(i, c) = acc[static_cast<std::size_t>(c)];
-      }
-      ctx.charge_flops(flops);
-      ship_values_block(ctx, rows, y, consumers_fwd_);
-    }, "trisolve/fwd/level");
-  }
-  machine.step([&](sim::RankContext& ctx) { (void)ctx.recv_all(); },
-               "trisolve/fwd/drain");
-  machine.check_quiescent("trisolve/fwd/end");
+  forward_cols<0>(machine, b.data.data(), y.data.data(), b.k);
 }
 
 void DistTriangularSolver::backward(sim::Machine& machine, const DenseRhsBlock& yin,
                                     DenseRhsBlock& x) const {
-  const PilutSchedule& sched = *schedule_;
-  const Csr& u = factors_->u;
-  PTILU_CHECK(yin.n == u.n_rows && x.n == yin.n && yin.k == x.k && yin.k >= 1,
+  PTILU_CHECK(yin.n == factors_->u.n_rows && x.n == yin.n && yin.k == x.k && yin.k >= 1,
               "batched backward block shape mismatch");
-  const int k = yin.k;
-  const std::size_t stride = static_cast<std::size_t>(yin.n);
-  std::vector<BlockGhost> ghost(sched.nranks);
-  sim::ScopedPhase solve_phase(machine, "trisolve/backward");
-
-  {
-  sim::ScopedPhase span(machine, "levels");
-  for (int level = levels() - 1; level >= 0; --level) {
-    machine.step([&](sim::RankContext& ctx) {
-      const int r = ctx.rank();
-      drain_ghosts_block(ctx, ghost[r], k);
-      std::uint64_t flops = 0;
-      RealVec acc(static_cast<std::size_t>(k));
-      const IdxVec& rows = rows_of_level_[level][r];
-      // Descending order within the level, as in the scalar solve.
-      for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-        const idx i = *it;
-        const nnz_t start = u.row_ptr[i];
-        for (int c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = yin.at(i, c);
-        for (nnz_t kk = start + 1; kk < u.row_ptr[i + 1]; ++kk) {
-          const idx j = u.col_idx[kk];
-          if (sched.owner_new[j] == r) {
-            rhs_axpy_any(k, acc.data(), u.values[kk], x.data.data() + j, stride);
-          } else {
-            rhs_axpy_any(k, acc.data(), u.values[kk],
-                         ghost[r].vals.data() + ghost[r].pos.at(j), 1);
-          }
-        }
-        flops += (2 * static_cast<std::uint64_t>(u.row_nnz(i)) + 1) *
-                 static_cast<std::uint64_t>(k);
-        const real pivot = u.values[start];
-        for (int c = 0; c < k; ++c) {
-          x.at(i, c) = acc[static_cast<std::size_t>(c)] / pivot;
-        }
-      }
-      ctx.charge_flops(flops);
-      ship_values_block(ctx, rows, x, consumers_bwd_);
-    }, "trisolve/bwd/level");
-  }
-  }
-
-  {
-  sim::ScopedPhase span(machine, "interior");
-  machine.step([&](sim::RankContext& ctx) {
-    const int r = ctx.rank();
-    drain_ghosts_block(ctx, ghost[r], k);
-    const auto [begin, end] = sched.interior_range[r];
-    std::uint64_t flops = 0;
-    RealVec acc(static_cast<std::size_t>(k));
-    for (idx i = end - 1; i >= begin; --i) {
-      const nnz_t start = u.row_ptr[i];
-      for (int c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = yin.at(i, c);
-      for (nnz_t kk = start + 1; kk < u.row_ptr[i + 1]; ++kk) {
-        const idx j = u.col_idx[kk];
-        if (sched.owner_new[j] == r) {
-          rhs_axpy_any(k, acc.data(), u.values[kk], x.data.data() + j, stride);
-        } else {
-          rhs_axpy_any(k, acc.data(), u.values[kk],
-                       ghost[r].vals.data() + ghost[r].pos.at(j), 1);
-        }
-      }
-      flops += (2 * static_cast<std::uint64_t>(u.row_nnz(i)) + 1) *
-               static_cast<std::uint64_t>(k);
-      const real pivot = u.values[start];
-      for (int c = 0; c < k; ++c) {
-        x.at(i, c) = acc[static_cast<std::size_t>(c)] / pivot;
-      }
-    }
-    ctx.charge_flops(flops);
-  }, "trisolve/bwd/interior");
-  }
-  machine.check_quiescent("trisolve/bwd/end");
+  backward_cols<0>(machine, yin.data.data(), x.data.data(), yin.k);
 }
 
 void DistTriangularSolver::apply(sim::Machine& machine, const DenseRhsBlock& b,

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ptilu/support/check.hpp"
@@ -10,6 +13,9 @@
 namespace ptilu {
 
 namespace {
+
+/// Largest entry count reserved up front from the size line.
+constexpr long long kReserveCap = 1LL << 20;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -47,15 +53,31 @@ Csr read_matrix_market(std::istream& in) {
     std::istringstream sizes(line);
     PTILU_CHECK(static_cast<bool>(sizes >> rows >> cols >> entries), "malformed size line");
     PTILU_CHECK(rows > 0 && cols > 0 && entries >= 0, "invalid matrix dimensions");
+    constexpr long long kMax = std::numeric_limits<idx>::max();
+    PTILU_CHECK(rows <= kMax && cols <= kMax && entries <= kMax,
+                "size line " << rows << " x " << cols << " with " << entries
+                             << " entries overflows the " << 8 * sizeof(idx)
+                             << "-bit index type (max " << kMax << ")");
   }
 
   CooBuilder builder(static_cast<idx>(rows), static_cast<idx>(cols));
-  builder.reserve(static_cast<std::size_t>(entries) * (symmetry == "general" ? 1 : 2));
+  // The header's count is only a hint: a truncated file must fail on its
+  // missing entries, not on an allocation sized by the claim.
+  builder.reserve(static_cast<std::size_t>(std::min(entries, kReserveCap)) *
+                  (symmetry == "general" ? 1 : 2));
+  std::string token;
   for (long long e = 0; e < entries; ++e) {
     long long i = 0, j = 0;
     real v = 1.0;
     PTILU_CHECK(static_cast<bool>(in >> i >> j), "truncated entry " << e);
-    if (field != "pattern") PTILU_CHECK(static_cast<bool>(in >> v), "truncated value " << e);
+    if (field != "pattern") {
+      PTILU_CHECK(static_cast<bool>(in >> token), "truncated value " << e);
+      char* end = nullptr;
+      v = std::strtod(token.c_str(), &end);
+      PTILU_CHECK(end != token.c_str() && *end == '\0',
+                  "malformed value '" << token << "' at entry " << e);
+      PTILU_CHECK(std::isfinite(v), "non-finite value '" << token << "' at entry " << e);
+    }
     PTILU_CHECK(i >= 1 && i <= rows && j >= 1 && j <= cols,
                 "entry (" << i << "," << j << ") out of range");
     const idx zi = static_cast<idx>(i - 1);

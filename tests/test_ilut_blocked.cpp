@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/ilu/ilut.hpp"
@@ -148,6 +149,13 @@ struct BlockedCase {
   real slack;
   int max_panel;
 };
+
+// Without this gtest prints the case as raw bytes, which include the `name`
+// pointer and padding, so the listed test names would change from build to
+// build (and from run to run under ASLR).
+void PrintTo(const BlockedCase& c, std::ostream* os) {
+  *os << "{slack=" << c.slack << ", max_panel=" << c.max_panel << "}";
+}
 
 class BlockedVsScalar : public ::testing::TestWithParam<BlockedCase> {};
 

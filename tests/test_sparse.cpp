@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "ptilu/sparse/csr.hpp"
 #include "ptilu/sparse/dense.hpp"
@@ -333,6 +334,52 @@ TEST(MatrixMarket, RejectsGarbage) {
   std::stringstream ss;
   ss << "not a matrix market file\n";
   EXPECT_THROW(read_matrix_market(ss), Error);
+}
+
+constexpr const char* kMmGeneral = "%%MatrixMarket matrix coordinate real general\n";
+
+/// The text of the Error reading `text` throws, or "" when it parses.
+std::string mm_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    (void)read_matrix_market(ss);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixMarket, NonFiniteValueIsNamedNotTruncated) {
+  for (const char* token : {"nan", "NaN", "inf", "-inf", "1e999"}) {
+    const std::string what = mm_error(std::string(kMmGeneral) + "2 2 2\n1 1 1.0\n2 2 " +
+                                      token + "\n");
+    EXPECT_NE(what.find("non-finite value '" + std::string(token) + "' at entry 1"),
+              std::string::npos)
+        << token << ": " << what;
+    EXPECT_EQ(what.find("truncated"), std::string::npos) << token << ": " << what;
+  }
+  // A value that really is missing still reads as truncated.
+  EXPECT_NE(mm_error(std::string(kMmGeneral) + "2 2 1\n1 1\n").find("truncated value 0"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, SizeLineBeyondIndexTypeIsAnOverflowDiagnostic) {
+  // 3e9 rows used to surface as std::length_error from the builder.
+  const std::string rows =
+      mm_error(std::string(kMmGeneral) + "3000000000 2 1\n1 1 1.0\n");
+  EXPECT_NE(rows.find("overflows the 32-bit index type"), std::string::npos) << rows;
+  EXPECT_NE(rows.find("3000000000 x 2"), std::string::npos) << rows;
+  const std::string entries =
+      mm_error(std::string(kMmGeneral) + "2 2 3000000000\n1 1 1.0\n");
+  EXPECT_NE(entries.find("overflows the 32-bit index type"), std::string::npos)
+      << entries;
+  // At the limit the header is accepted, and a short body is truncated
+  // rather than an allocation sized by the claimed entry count.
+  for (const char* size_line : {"2147483647 2 2\n", "2 2 2147483647\n"}) {
+    const std::string at_limit =
+        mm_error(std::string(kMmGeneral) + size_line + "1 1 1.0\n");
+    EXPECT_NE(at_limit.find("truncated entry 1"), std::string::npos) << at_limit;
+  }
 }
 
 TEST(MatrixMarket, RejectsOutOfRangeEntry) {
