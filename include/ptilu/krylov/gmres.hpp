@@ -17,8 +17,13 @@ struct GmresOptions {
   real rtol = 1e-5;          ///< stop when ||M^{-1}r|| drops by this factor
 };
 
+/// Why a solve stopped. A non-finite residual norm (NaN or Inf in b, x0,
+/// A or M^{-1}) stops at once; x keeps the last completed cycle's iterate.
+enum class GmresStop { kConverged, kBudget, kNonFinite };
+
 struct GmresResult {
-  bool converged = false;
+  bool converged = false;      ///< stop == kConverged
+  GmresStop stop = GmresStop::kBudget;
   int matvecs = 0;             ///< NMV in the paper's Table 3
   int restarts = 0;
   real initial_residual = 0;   ///< preconditioned residual norms

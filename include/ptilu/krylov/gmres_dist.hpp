@@ -2,10 +2,10 @@
 // the T3D. Every operation executes on the simulated machine — parallel
 // SpMV with halo exchange, the parallel triangular solves of the PILUT
 // preconditioner, rank-local axpy/scale work, and inner products that cost
-// an allreduce each. The arithmetic is identical to the serial
-// ptilu::gmres (tested), so iteration counts match; the machine clock
-// additionally yields an executed (not analytically modeled) parallel
-// solve time for Table 3.
+// an allreduce each. It runs the serial ptilu::gmres's restarted-GMRES core
+// (DESIGN.md §17); only the dots (per-rank partials folded in rank order) and
+// v0 = (1/beta)·r (serially r/beta) differ, so iteration counts agree up to
+// roundoff. The machine clock yields an executed parallel solve time.
 //
 // When a sim::Trace is attached to the machine, the solve is tagged with
 // nested phases under "gmres": "residual" (SpMV + preconditioner for the
@@ -33,14 +33,11 @@ GmresResult gmres_dist(sim::Machine& machine, const DistCsr& dist, const Halo& h
                        const PilutResult& factorization, std::span<const real> b,
                        std::span<real> x, const GmresOptions& opts = {});
 
-/// Shared-solver overload for serving workloads: apply GMRES through a
-/// DistTriangularSolver built ONCE from a factorization and reused across
-/// many solves (the solver's consumer/level setup is host-side work that a
-/// per-request solve should not repay — see docs/SERVING.md). The overload
-/// above delegates here after building a solver, so a sequence of calls
-/// with a shared solver is bit-identical to the same sequence of
-/// from-factorization calls. The solver must have been built against a
-/// factorization of this dist matrix's permuted form.
+/// Shared-solver overload for serving workloads: a DistTriangularSolver
+/// built ONCE (its plan build is host work a per-request solve should not
+/// repay — docs/SERVING.md) and reused across solves. The overload above
+/// delegates here, so both are bit-identical. The solver must have been
+/// built against a factorization of this dist matrix's permuted form.
 GmresResult gmres_dist(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
                        const DistTriangularSolver& solver, std::span<const real> b,
                        std::span<real> x, const GmresOptions& opts = {});

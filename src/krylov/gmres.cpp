@@ -1,129 +1,53 @@
 #include "ptilu/krylov/gmres.hpp"
 
-#include <cmath>
-
+#include "gmres_core.hpp"
 #include "ptilu/sparse/spmv.hpp"
 #include "ptilu/sparse/vector_ops.hpp"
 #include "ptilu/support/check.hpp"
 
 namespace ptilu {
 
+namespace {
+
+/// The serial vector space: host loops over whole vectors.
+struct SerialSpace {
+  const Csr& a;
+  const Preconditioner& m;
+  std::span<const real> b;
+  std::span<real> x;
+  RealVec scratch;
+
+  void residual(RealVec& r) {
+    ptilu::residual(a, x, b, scratch);
+    m.apply(scratch, r);
+  }
+  void precond_matvec(const RealVec& v, RealVec& w) {
+    spmv(a, v, scratch);
+    m.apply(scratch, w);
+  }
+  static real dot(const RealVec& u, const RealVec& w) { return ptilu::dot(u, w); }
+  static void axpy(real alpha, const RealVec& u, RealVec& w) { ptilu::axpy(alpha, u, w); }
+  static void scale(real alpha, RealVec& w) { scal(alpha, w); }
+  void update_x(const std::vector<RealVec>& v, const RealVec& y) const {
+    for (std::size_t k = 0; k < y.size(); ++k) ptilu::axpy(y[k], v[k], x);
+  }
+  // Divides where the machine space scales by 1/beta; scaling here would
+  // move seven rows of table3_gmres --quick (DESIGN.md §17).
+  static void start_into(real beta, const RealVec& r, RealVec& v0) {
+    for (std::size_t i = 0; i < r.size(); ++i) v0[i] = r[i] / beta;
+  }
+  static krylov_detail::NoScope orthog_scope() { return {}; }
+};
+
+}  // namespace
+
 GmresResult gmres(const Csr& a, const Preconditioner& m, std::span<const real> b,
                   std::span<real> x, const GmresOptions& opts) {
   PTILU_CHECK(a.n_rows == a.n_cols, "GMRES needs a square matrix");
   PTILU_CHECK(b.size() == static_cast<std::size_t>(a.n_rows) && x.size() == b.size(),
               "GMRES vector size mismatch");
-  PTILU_CHECK(opts.restart >= 1 && opts.rtol > 0.0, "invalid GMRES options");
-  const idx n = a.n_rows;
-  const int krylov = opts.restart;
-
-  GmresResult result;
-  RealVec scratch(n), r(n);
-
-  // Preconditioned initial residual r = M^{-1}(b - A x).
-  auto compute_residual = [&]() {
-    residual(a, x, b, scratch);
-    m.apply(scratch, r);
-  };
-  compute_residual();
-  real beta = norm2(r);
-  result.initial_residual = beta;
-  result.final_residual = beta;
-  if (beta == 0.0) {
-    result.converged = true;
-    return result;
-  }
-  const real target = opts.rtol * beta;
-
-  // Arnoldi basis (krylov+1 vectors) and Hessenberg in Givens-rotated form.
-  std::vector<RealVec> v(krylov + 1, RealVec(n, 0.0));
-  std::vector<RealVec> h(krylov + 1, RealVec(krylov, 0.0));
-  RealVec cs(krylov, 0.0), sn(krylov, 0.0), g(krylov + 1, 0.0);
-
-  while (result.matvecs < opts.max_matvecs) {
-    // Start a cycle from the current residual.
-    compute_residual();
-    beta = norm2(r);
-    result.final_residual = beta;
-    if (beta <= target) {
-      result.converged = true;
-      break;
-    }
-    for (idx i = 0; i < n; ++i) v[0][i] = r[i] / beta;
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-
-    int steps = 0;
-    for (int j = 0; j < krylov && result.matvecs < opts.max_matvecs; ++j) {
-      // w = M^{-1} A v_j
-      spmv(a, v[j], scratch);
-      ++result.matvecs;
-      RealVec& w = v[j + 1];
-      m.apply(scratch, w);
-
-      // Modified Gram-Schmidt.
-      for (int i = 0; i <= j; ++i) {
-        const real hij = dot(w, v[i]);
-        h[i][j] = hij;
-        axpy(-hij, v[i], w);
-      }
-      const real hnext = norm2(w);
-      h[j + 1][j] = hnext;
-      if (hnext > 0.0) {
-        scal(1.0 / hnext, w);
-      }
-
-      // Apply previous Givens rotations to the new column.
-      for (int i = 0; i < j; ++i) {
-        const real temp = cs[i] * h[i][j] + sn[i] * h[i + 1][j];
-        h[i + 1][j] = -sn[i] * h[i][j] + cs[i] * h[i + 1][j];
-        h[i][j] = temp;
-      }
-      // New rotation to annihilate h[j+1][j].
-      const real denom = std::hypot(h[j][j], h[j + 1][j]);
-      if (denom == 0.0) {
-        cs[j] = 1.0;
-        sn[j] = 0.0;
-      } else {
-        cs[j] = h[j][j] / denom;
-        sn[j] = h[j + 1][j] / denom;
-      }
-      h[j][j] = cs[j] * h[j][j] + sn[j] * h[j + 1][j];
-      h[j + 1][j] = 0.0;
-      g[j + 1] = -sn[j] * g[j];
-      g[j] = cs[j] * g[j];
-
-      steps = j + 1;
-      const real rho = std::abs(g[j + 1]);
-      result.residual_history.push_back(rho);
-      result.final_residual = rho;
-      if (rho <= target || hnext == 0.0) {  // converged or lucky breakdown
-        break;
-      }
-    }
-
-    // Solve the triangular least-squares system and update x.
-    RealVec y(steps, 0.0);
-    for (int i = steps - 1; i >= 0; --i) {
-      real acc = g[i];
-      for (int k = i + 1; k < steps; ++k) acc -= h[i][k] * y[k];
-      PTILU_CHECK(h[i][i] != 0.0, "GMRES Hessenberg breakdown at step " << i);
-      y[i] = acc / h[i][i];
-    }
-    for (int i = 0; i < steps; ++i) axpy(y[i], v[i], x);
-    ++result.restarts;
-
-    if (result.final_residual <= target) {
-      // Verify with a fresh residual (restart loop re-checks on entry).
-      compute_residual();
-      result.final_residual = norm2(r);
-      if (result.final_residual <= target) {
-        result.converged = true;
-        break;
-      }
-    }
-  }
-  return result;
+  SerialSpace space{a, m, b, x, RealVec(a.n_rows)};
+  return krylov_detail::gmres_core(space, a.n_rows, opts);
 }
 
 }  // namespace ptilu

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ptilu/dist/distcsr.hpp"
 #include "ptilu/graph/graph.hpp"
@@ -100,6 +101,33 @@ TEST(GmresDist, EveryDotIsASynchronization) {
   (void)gmres_dist(fx.machine, fx.dist, fx.halo, fx.factorization, b, x, {.restart = 20});
   // MGS inside GMRES costs at least one superstep per projection.
   EXPECT_GT(fx.machine.supersteps(), 50u);
+}
+
+TEST(GmresDist, NanRhsStopsBeforeAnyMatvec) {
+  const Csr a = workloads::convection_diffusion_2d(16, 16, 4.0, 2.0);
+  RealVec b = workloads::rhs_all_ones_solution(a);
+  b[37] = std::numeric_limits<real>::quiet_NaN();
+  DistSolveFixture fx(a, 4, {.m = 8, .tau = 1e-4});
+  RealVec x(a.n_rows, 0.0);
+  const GmresResult res =
+      gmres_dist(fx.machine, fx.dist, fx.halo, fx.factorization, b, x);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.stop, GmresStop::kNonFinite);
+  EXPECT_EQ(res.matvecs, 0);
+  EXPECT_TRUE(std::isnan(res.final_residual));
+}
+
+TEST(GmresDist, BudgetNotMultipleOfRestartEndsExactlyAtBudget) {
+  const Csr a = workloads::convection_diffusion_2d(24, 24, 8.0, 4.0);
+  const RealVec b = workloads::rhs_all_ones_solution(a);
+  DistSolveFixture fx(a, 4, {.m = 2, .tau = 1e-1});
+  RealVec x(a.n_rows, 0.0);
+  const GmresResult res = gmres_dist(fx.machine, fx.dist, fx.halo, fx.factorization, b, x,
+                                     {.restart = 10, .max_matvecs = 25, .rtol = 1e-14});
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.stop, GmresStop::kBudget);
+  EXPECT_EQ(res.matvecs, 25);
+  EXPECT_EQ(res.restarts, 3);
 }
 
 // ------------------------------------------------------------- scaling --

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ptilu/ilu/ilut.hpp"
 #include "ptilu/support/check.hpp"
@@ -103,6 +104,7 @@ TEST(Gmres, ZeroRhsConvergesImmediately) {
   RealVec x(a.n_rows, 0.0);
   const GmresResult res = gmres(a, IdentityPreconditioner{}, b, x);
   EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.stop, GmresStop::kConverged);
   EXPECT_EQ(res.matvecs, 0);
 }
 
@@ -122,6 +124,62 @@ TEST(Gmres, RespectsMatvecBudget) {
   const GmresResult res =
       gmres(a, IdentityPreconditioner{}, b, x, {.restart = 10, .max_matvecs = 25});
   EXPECT_LE(res.matvecs, 25);
+}
+
+TEST(Gmres, BudgetNotMultipleOfRestartEndsExactlyAtBudget) {
+  const Csr a = workloads::anisotropic_2d(40, 40, 1e-4);
+  const RealVec b = workloads::rhs_all_ones_solution(a);
+  RealVec x(a.n_rows, 0.0);
+  const GmresResult res =
+      gmres(a, IdentityPreconditioner{}, b, x, {.restart = 10, .max_matvecs = 25});
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.stop, GmresStop::kBudget);
+  EXPECT_EQ(res.matvecs, 25);
+  EXPECT_EQ(res.restarts, 3);
+}
+
+TEST(Gmres, NanRhsStopsBeforeAnyMatvec) {
+  const Csr a = workloads::convection_diffusion_2d(16, 16, 4.0, 2.0);
+  RealVec b = workloads::rhs_all_ones_solution(a);
+  b[37] = std::numeric_limits<real>::quiet_NaN();
+  RealVec x(a.n_rows, 0.0);
+  const GmresResult res = gmres(a, IdentityPreconditioner{}, b, x);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.stop, GmresStop::kNonFinite);
+  EXPECT_EQ(res.matvecs, 0);
+  EXPECT_TRUE(std::isnan(res.final_residual));
+}
+
+/// Identity until its k-th apply (1-based), NaN from that apply on.
+class NanFromApply final : public Preconditioner {
+ public:
+  explicit NanFromApply(int k) : k_(k) {}
+  void apply(std::span<const real> b, std::span<real> x) const override {
+    const bool poison = ++applies_ >= k_;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      x[i] = poison ? std::numeric_limits<real>::quiet_NaN() : b[i];
+    }
+  }
+
+ private:
+  int k_;
+  mutable int applies_ = 0;
+};
+
+TEST(Gmres, PreconditionerTurningNanStopsWithinItsApplies) {
+  // Applies 1 and 2 are the initial and cycle-start residuals, 3..12 the
+  // first cycle's matvecs, 13 the second cycle's start, and so on.
+  const Csr a = workloads::convection_diffusion_2d(16, 16, 4.0, 2.0);
+  const RealVec b = workloads::rhs_all_ones_solution(a);
+  for (const int k : {1, 2, 3, 7, 12, 13, 14, 30}) {
+    RealVec x(a.n_rows, 0.0);
+    const GmresResult res = gmres(a, NanFromApply(k), b, x, {.restart = 10});
+    EXPECT_EQ(res.stop, GmresStop::kNonFinite) << "k=" << k;
+    EXPECT_FALSE(res.converged) << "k=" << k;
+    EXPECT_LE(res.matvecs, k) << "k=" << k;
+    // x keeps the last completed cycle's iterate.
+    for (const real v : x) ASSERT_TRUE(std::isfinite(v)) << "k=" << k;
+  }
 }
 
 TEST(Gmres, ResidualHistoryMonotoneWithinCycle) {
