@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -164,14 +165,20 @@ ScalePoint run_skeleton(sim::Machine& machine, const Problem& prob, int gmres_it
     }
   };
   const auto drain = [](sim::RankContext& ctx) {
-    for (const sim::Message& msg : ctx.recv_all()) {
+    for (const sim::MessageView& msg : ctx.recv_all()) {
       ctx.charge_mem(msg.payload.size());
     }
   };
+  // Payload contents are never read: every message is a prefix of one
+  // zero buffer sized for the largest (a trisolve plane of halo reals).
+  const std::vector<std::byte> zeros(static_cast<std::size_t>(halo) * 8u);
+  const auto payload = [&](std::uint64_t bytes) {
+    return std::span<const std::byte>(zeros).first(static_cast<std::size_t>(bytes));
+  };
   const auto send_halo = [&](sim::RankContext& ctx, std::uint64_t bytes_per_peer, int tag) {
     const int r = ctx.rank();
-    if (r > 0) ctx.send_bytes(r - 1, tag, std::vector<std::byte>(bytes_per_peer));
-    if (r + 1 < p) ctx.send_bytes(r + 1, tag, std::vector<std::byte>(bytes_per_peer));
+    if (r > 0) ctx.send_bytes(r - 1, tag, payload(bytes_per_peer));
+    if (r + 1 < p) ctx.send_bytes(r + 1, tag, payload(bytes_per_peer));
   };
 
   // --- Factorization: interior rows eliminate locally in one modeled
@@ -225,7 +232,7 @@ ScalePoint run_skeleton(sim::Machine& machine, const Problem& prob, int gmres_it
             const int r = ctx.rank();
             const int to = dir == 0 ? r + 1 : r - 1;
             if (to >= 0 && to < p) {
-              ctx.send_bytes(to, /*tag=*/3, std::vector<std::byte>(static_cast<std::size_t>(halo) * 8u));
+              ctx.send_bytes(to, /*tag=*/3, payload(static_cast<std::uint64_t>(halo) * 8u));
             }
             const SlabStats& s = prob.slabs[r];
             ctx.charge_flops(static_cast<std::uint64_t>(s.nnz / sweep_levels) + 1u);

@@ -9,6 +9,7 @@
 // keeps the communication accounting faithful.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ptilu/part/partition.hpp"
@@ -64,6 +65,6 @@ struct Halo {
 /// owned indices (remote values come from its received ghosts) and writes
 /// y at owned indices.
 void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
-               const RealVec& x, RealVec& y);
+               std::span<const real> x, RealVec& y);
 
 }  // namespace ptilu

@@ -78,7 +78,6 @@ struct DistMisScratch {
   std::vector<IdxVec> peer_start;  // [rank] CSR offsets: local vertex -> peer slice
   std::vector<std::vector<int>> peer_list;  // [rank] slots into nbrs[rank], dedup'd
   std::vector<std::vector<std::uint8_t>> peer_stamp;  // [lane] dedup stamp over ranks
-  std::vector<IdxVec> recv_buf;                       // [lane] message decode scratch
   std::vector<IdxVec> selected;   // [lane] per-round winners
   std::vector<long long> cand_lane;  // [lane] candidates-left partial sums
 

@@ -42,9 +42,16 @@ struct IlutStats {
   std::uint64_t pivots_guarded = 0;
 };
 
-/// Factor A (square, natural order). Throws on structural problems or an
-/// unguarded zero pivot.
+/// Factor A (square, natural order). Throws on structural problems, a NaN
+/// or Inf entry, or an unguarded zero pivot.
 IluFactors ilut(const Csr& a, const IlutOptions& opts, IlutStats* stats = nullptr);
+
+/// Reject a matrix whose rows the threshold drivers cannot factor, naming
+/// the first bad row: one holding a NaN or Inf (and that entry's column),
+/// else one that is entirely zero. `norms` are A's row 2-norms; a row whose
+/// norm is finite and positive costs one comparison. Finite entries whose
+/// squares overflow the norm pass, as before.
+void check_ilut_rows(const Csr& a, const RealVec& norms);
 
 /// ILU(0): zero-fill incomplete factorization on the sparsity pattern of A
 /// (the static baseline the paper contrasts with, Figure 1a).

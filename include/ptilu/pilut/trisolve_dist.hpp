@@ -80,6 +80,7 @@ class DistTriangularSolver {
     std::vector<std::size_t> ghost_ptr;
     IdxVec ghost_col;
     std::vector<std::vector<Send>> sends;  ///< [step * nranks + rank]
+    std::size_t max_send_rows = 0;  ///< longest Send::rows, sizes the lanes
   };
 
   Plan build_plan(const Csr& m, bool upper) const;

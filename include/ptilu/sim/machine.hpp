@@ -1,9 +1,9 @@
 // Simulated distributed-memory machine.
 //
-// The paper's experiments ran on a 128-processor Cray T3D. This host has a
-// single core and no MPI, so the parallel algorithms in this library run on
-// a deterministic BSP-style simulator instead: every rank executes the same
-// SPMD code against explicit per-rank message queues, and a cost model
+// The paper's experiments ran on a 128-processor Cray T3D. There is no MPI
+// here, so the parallel algorithms in this library run on a deterministic
+// BSP-style simulator instead: every rank executes the same SPMD code
+// against explicit per-rank message queues, and a cost model
 // (per-flop time, per-byte memory-copy time, message latency alpha and
 // per-byte cost beta) accumulates *modeled* time per rank. A superstep
 // barrier synchronizes the per-rank clocks to the maximum. The algorithms
@@ -34,15 +34,19 @@
 // merge points.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <cstring>
+#include <exception>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ptilu/support/check.hpp"
+#include "ptilu/support/function_ref.hpp"
 #include "ptilu/support/types.hpp"
 
 namespace ptilu::sim {
@@ -144,12 +148,33 @@ struct MachineParams {
   }
 };
 
-/// One message in flight: raw bytes plus a tag for sanity checking.
-struct Message {
+/// One delivered message: sender, tag, and a read-only view of its payload
+/// bytes in the sender's send slab. Valid until the next barrier (the end
+/// of the superstep that received it); copy out anything needed later.
+/// See DESIGN.md §18.
+struct MessageView {
   int from = 0;
   int tag = 0;
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
 };
+
+/// Number of T elements in a payload; throws ptilu::Error when its byte
+/// length is not a multiple of sizeof(T).
+template <typename T>
+std::size_t payload_count(const MessageView& m) {
+  PTILU_CHECK(m.payload.size() % sizeof(T) == 0,
+              "payload size " << m.payload.size() << " not a multiple of element size");
+  return m.payload.size() / sizeof(T);
+}
+
+/// Element i of a payload of T values. Payloads carry no alignment
+/// guarantee, so this loads through memcpy.
+template <typename T>
+T payload_at(const MessageView& m, std::size_t i) {
+  T value{};
+  std::memcpy(&value, m.payload.data() + i * sizeof(T), sizeof(T));
+  return value;
+}
 
 /// Aggregate per-rank activity counters (monotone over a run).
 struct RankCounters {
@@ -182,19 +207,28 @@ class RankContext {
   /// Account n bytes of local memory traffic (e.g. reduced-matrix copies).
   void charge_mem(std::uint64_t n);
 
-  /// Post a message for delivery at the start of the next superstep.
-  void send_bytes(int to, int tag, std::vector<std::byte> payload);
-  void send_indices(int to, int tag, const IdxVec& data);
-  void send_reals(int to, int tag, const RealVec& data);
+  /// Post a message for delivery at the start of the next superstep. The
+  /// payload is copied once into this rank's send slab; the caller's
+  /// buffer may be reused as soon as the call returns.
+  void send_bytes(int to, int tag, std::span<const std::byte> payload);
+  void send_indices(int to, int tag, std::span<const idx> data);
+  void send_reals(int to, int tag, std::span<const real> data);
+  /// Literal payloads: ctx.send_indices(peer, tag, {1, 2, 3}).
+  void send_indices(int to, int tag, std::initializer_list<idx> data) {
+    send_indices(to, tag, std::span<const idx>(data.begin(), data.size()));
+  }
+  void send_reals(int to, int tag, std::initializer_list<real> data) {
+    send_reals(to, tag, std::span<const real>(data.begin(), data.size()));
+  }
 
-  /// All messages delivered to this rank this superstep. The inbox is moved
-  /// out and replaced by a fresh empty vector, so a second call in the same
-  /// superstep sees a well-defined empty inbox rather than a moved-from one.
-  /// Under conformance checking a second drain is reported as a protocol
-  /// violation — PR 2's recv_all double-drain bug lost messages exactly
-  /// this way, and code that compiles against the well-defined-empty
-  /// fallback is almost always wrong.
-  std::vector<Message> recv_all();
+  /// All messages delivered to this rank this superstep, in (sender rank,
+  /// post order). The views point into the senders' slabs and stay valid
+  /// until the next barrier. A second call in the same superstep returns an
+  /// empty span and leaves the first one valid. Under conformance checking
+  /// a second drain is reported as a protocol violation — an early
+  /// double-drain bug lost messages exactly this way, and code that
+  /// compiles against the empty fallback is almost always wrong.
+  std::span<const MessageView> recv_all();
 
   /// Declare participation in a logical collective from SPMD step code.
   /// Purely an annotation for the conformance checker (no modeled cost, a
@@ -212,15 +246,20 @@ class RankContext {
   int rank_;
 };
 
-/// Decode helpers for Message payloads.
-IdxVec decode_indices(const Message& m);
-RealVec decode_reals(const Message& m);
+/// Decode helpers for message payloads.
+IdxVec decode_indices(const MessageView& m);
+RealVec decode_reals(const MessageView& m);
 
 /// Append-decoding variants: decode the payload directly onto the end of
 /// `out` with no intermediate vector. Hot receive loops reuse one buffer
 /// across messages instead of allocating a fresh vector per decode.
-void decode_indices_append(const Message& m, IdxVec& out);
-void decode_reals_append(const Message& m, RealVec& out);
+void decode_indices_append(const MessageView& m, IdxVec& out);
+void decode_reals_append(const MessageView& m, RealVec& out);
+
+/// Copy a payload of reals to the front of `out`, which must have room for
+/// all of them; returns how many were copied. Receivers with a planned
+/// layout decode straight into their destination with this.
+std::size_t decode_reals_into(const MessageView& m, std::span<real> out);
 
 class Machine {
  public:
@@ -269,17 +308,16 @@ class Machine {
   /// conformance transcripts and violation reports; it costs nothing when
   /// checking is off and should name the protocol action
   /// ("pilut/exchange/request").
-  void step(const std::function<void(RankContext&)>& body,
-            std::string_view site = {});
+  void step(FunctionRef<void(RankContext&)> body, std::string_view site = {});
 
   /// Convenience collectives (each is one superstep of modeled time):
   /// every rank contributes a value, all receive the combined result.
   /// Under conformance checking each is fingerprinted per rank.
-  double allreduce_sum(const std::function<double(int)>& value_of_rank,
+  double allreduce_sum(FunctionRef<double(int)> value_of_rank,
                        std::string_view site = {});
-  double allreduce_max(const std::function<double(int)>& value_of_rank,
+  double allreduce_max(FunctionRef<double(int)> value_of_rank,
                        std::string_view site = {});
-  long long allreduce_sum_ll(const std::function<long long(int)>& value_of_rank,
+  long long allreduce_sum_ll(FunctionRef<long long(int)> value_of_rank,
                              std::string_view site = {});
 
   /// Account a point-to-point transfer without materializing a payload
@@ -352,17 +390,31 @@ class Machine {
   friend class RankContext;
   void charge_flops(int rank, std::uint64_t n);
   void charge_mem(int rank, std::uint64_t n);
-  void post(int from, int to, int tag, std::vector<std::byte> payload);
+  void post(int from, int to, int tag, std::span<const std::byte> payload);
+  void deliver();
 
-  /// One posted message staged in its *sender's* slot. Staging per sender
-  /// keeps post() free of cross-rank writes; the barrier merges the stages
-  /// destination-wise in sender-rank order, which reproduces exactly the
-  /// (sender rank, program order) delivery the sequential interpreter got
-  /// from pushing straight into per-destination outboxes.
-  struct Posted {
+  /// Where one posted message sits in its sender's slab.
+  struct Header {
     int to = 0;
-    Message msg;
+    int tag = 0;
+    std::size_t offset = 0;
+    std::size_t length = 0;
   };
+
+  /// One rank's messages posted in one superstep: payload bytes back to
+  /// back plus a header per message, in post order. Only the owning rank
+  /// writes its slab during a step, so post() makes no cross-rank write;
+  /// the barrier reads every slab on the main thread. Cleared slabs keep
+  /// their capacity, so steady-state traffic allocates nothing.
+  struct SendSlab {
+    std::vector<std::byte> bytes;
+    std::vector<Header> headers;
+    /// Empty the slab for reuse, keeping at most max(kSlabKeepBytes,
+    /// 4 x what it just carried) of byte capacity (DESIGN.md §18).
+    void recycle();
+  };
+  /// Byte capacity a slab always keeps across a recycle.
+  static constexpr std::size_t kSlabKeepBytes = std::size_t{64} << 10;
 
   /// A trace record charged by a rank body under the threaded backend,
   /// buffered rank-locally and replayed through Trace::record in rank
@@ -377,8 +429,8 @@ class Machine {
     SpanKind kind{};
   };
 
-  void run_bodies(const std::function<void(RankContext&)>& body);
-  void run_bodies_threaded(const std::function<void(RankContext&)>& body);
+  void run_bodies(FunctionRef<void(RankContext&)> body);
+  void run_bodies_threaded(FunctionRef<void(RankContext&)> body);
   void flush_pending_trace(int upto_rank);
   int resolved_pool_size() const;
 
@@ -390,18 +442,20 @@ class Machine {
   int threads_option_;
   std::vector<double> clock_;
   std::vector<RankCounters> counters_;
-  /// Messages delivered this superstep, keyed by destination rank. Sparse
-  /// by construction: only ranks with inbound traffic own an entry, so a
-  /// p=4096 machine whose ranks talk to a handful of grid neighbors stores
-  /// O(active destinations) vectors, not O(p). A sorted map (not a hash
-  /// map) so the receiver drain loop in step() visits destinations in
-  /// ascending rank order — the exact order the dense per-rank array was
-  /// walked in, keeping modeled clocks and traces bit-identical. Structure
-  /// is only mutated on the main thread at the barrier; rank bodies move
-  /// out their own mapped vector (recv_all), which never rebalances the
-  /// tree, so the threaded backend needs no locking here.
-  std::map<int, std::vector<Message>> inbox_;
-  std::vector<std::vector<Posted>> staged_;   // posted this superstep, per sender
+  /// The message plane (DESIGN.md §18). slabs_[posting_] receives this
+  /// superstep's sends, one slab per sender; slabs_[posting_ ^ 1] holds
+  /// the payloads delivered into it, which inbox_ views in place. Each
+  /// barrier recycles the delivered half and swaps the roles, so a view
+  /// stays valid until the barrier after its delivery.
+  std::vector<SendSlab> slabs_[2];
+  int posting_ = 0;
+  /// Delivered messages sorted by destination, stable in (sender rank,
+  /// post order): rank r's are [inbox_ptr_[r], inbox_ptr_[r + 1]).
+  std::vector<MessageView> inbox_;
+  std::vector<std::size_t> inbox_ptr_;
+  /// First undrained entry per rank; recv_all advances it to the end, so a
+  /// second drain sees an empty range. Written only by the owning rank.
+  std::vector<std::size_t> unread_;
   std::uint64_t supersteps_ = 0;
   Trace* trace_ = nullptr;
   bool in_allreduce_ = false;  // tags the enclosing step's barrier spans
@@ -409,6 +463,10 @@ class Machine {
   std::vector<std::vector<PendingSpan>> pending_trace_;  // per rank
   std::vector<double> reduce_real_;   // per-rank allreduce slots
   std::vector<long long> reduce_ll_;  // per-rank allreduce slots
+  // Threaded-step rollback state, reused across steps.
+  std::vector<double> clock_before_;
+  std::vector<RankCounters> counters_before_;
+  std::vector<std::exception_ptr> errors_;
   std::unique_ptr<WorkerPool> pool_;  // lazily created for Backend::kThreads
   std::unique_ptr<Conformance> checker_;  // SPMD conformance; null = off
   std::unique_ptr<Metrics> metrics_;  // critical-path analyzer; null = off

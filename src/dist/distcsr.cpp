@@ -1,6 +1,7 @@
 #include "ptilu/dist/distcsr.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 
 #include "ptilu/sim/trace.hpp"
@@ -110,7 +111,7 @@ std::size_t Halo::total_exchanged() const {
 }
 
 void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
-               const RealVec& x, RealVec& y) {
+               std::span<const real> x, RealVec& y) {
   const int p = dist.nranks;
   PTILU_CHECK(machine.nranks() == p, "machine/partition rank mismatch");
   PTILU_CHECK(x.size() == static_cast<std::size_t>(dist.n()) && y.size() == x.size(),
@@ -121,40 +122,42 @@ void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
                   << halo.recv_lists.size() << " ranks, nnz=" << halo.slot.size()
                   << "; called with " << p << " ranks, nnz=" << dist.a.nnz());
   sim::ScopedPhase phase(machine, "spmv");
-  // One ghost region per rank, written only by that rank's body.
+  // One ghost region per rank, written only by that rank's body, and one
+  // outbound-message lane per Machine::scratch_lanes().
   RealVec ghost(halo.ghost_ptr.back());
-  std::vector<RealVec> scratch(static_cast<std::size_t>(machine.scratch_lanes()));
+  std::size_t lane_size = 0;
+  for (const auto& lists : halo.send_lists) {
+    for (const auto& [peer, indices] : lists) lane_size = std::max(lane_size, indices.size());
+  }
+  RealVec lanes(lane_size * static_cast<std::size_t>(machine.scratch_lanes()));
 
   // Superstep 1: ship boundary values.
   machine.step([&](sim::RankContext& ctx) {
-    RealVec& values = scratch[static_cast<std::size_t>(ctx.lane())];
+    real* values = lanes.data() + static_cast<std::size_t>(ctx.lane()) * lane_size;
     for (const auto& [peer, indices] : halo.send_lists[ctx.rank()]) {
-      values.resize(indices.size());
       for (std::size_t i = 0; i < indices.size(); ++i) values[i] = x[indices[i]];
-      ctx.charge_mem(values.size() * sizeof(real));
-      ctx.send_reals(peer, /*tag=*/0, values);
+      ctx.charge_mem(indices.size() * sizeof(real));
+      ctx.send_reals(peer, /*tag=*/0, std::span<const real>(values, indices.size()));
     }
   }, "spmv/halo_send");
 
   // Superstep 2: receive ghosts, compute owned rows.
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    RealVec& values = scratch[static_cast<std::size_t>(ctx.lane())];
     real* g = ghost.data() + halo.ghost_ptr[r];
     // Messages arrive in ascending sender order, one per recv entry, and
     // the rank's ghost region is its recv entries laid end to end.
     const auto& recv = halo.recv_lists[r];
-    const std::vector<sim::Message> inbox = ctx.recv_all();
+    const std::span<const sim::MessageView> inbox = ctx.recv_all();
     PTILU_CHECK(inbox.size() == recv.size(),
                 "rank " << r << " expected " << recv.size() << " halo messages, got "
                         << inbox.size());
     real* next = g;
     for (std::size_t e = 0; e < recv.size(); ++e) {
-      values.clear();
-      sim::decode_reals_append(inbox[e], values);
       PTILU_CHECK(inbox[e].from == recv[e].first, "unexpected halo message");
-      PTILU_CHECK(recv[e].second.size() == values.size(), "halo message length mismatch");
-      next = std::copy(values.begin(), values.end(), next);
+      PTILU_CHECK(sim::payload_count<real>(inbox[e]) == recv[e].second.size(),
+                  "halo message length mismatch");
+      next += sim::decode_reals_into(inbox[e], {next, recv[e].second.size()});
     }
     std::uint64_t flops = 0;
     for (const idx row : dist.owned_rows[r]) {

@@ -53,7 +53,6 @@ void DistMisScratch::ensure(int nranks, int lanes, idx n_global) {
   for (auto& stamp : peer_stamp) {
     if (static_cast<int>(stamp.size()) < nranks) stamp.assign(nranks, 0);
   }
-  if (static_cast<int>(recv_buf.size()) < lanes) recv_buf.resize(lanes);
   if (static_cast<int>(selected.size()) < lanes) selected.resize(lanes);
   if (static_cast<int>(cand_lane.size()) < lanes) cand_lane.resize(lanes, 0);
   if (static_cast<int>(key.size()) < lanes) {
@@ -204,7 +203,6 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       const int r = ctx.rank();
       const auto lane = static_cast<std::size_t>(ctx.lane());
       auto& status = sc.status[r];
-      IdxVec& recv_buf = sc.recv_buf[lane];
       auto& key = sc.key[lane];
       auto& key_stamp = sc.key_stamp[lane];
       const auto key_of = [&](idx v) {
@@ -214,11 +212,10 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
         }
         return key[v];
       };
-      for (const sim::Message& msg : ctx.recv_all()) {
+      for (const sim::MessageView& msg : ctx.recv_all()) {
         const std::uint8_t value = msg.tag == kTagIn ? kIn : kOut;
-        recv_buf.clear();
-        sim::decode_indices_append(msg, recv_buf);
-        for (const idx v : recv_buf) status[v] = value;
+        const std::size_t count = sim::payload_count<idx>(msg);
+        for (std::size_t t = 0; t < count; ++t) status[sim::payload_at<idx>(msg, t)] = value;
       }
 
       const IdxVec& verts = graph.verts_of[r];

@@ -25,11 +25,24 @@ void emit_urow(SparseRow& urow, idx i, real diag, const SparseRow& upper) {
 
 }  // namespace
 
+void check_ilut_rows(const Csr& a, const RealVec& norms) {
+  for (idx i = 0; i < a.n_rows; ++i) {
+    if (norms[i] > 0.0 && std::isfinite(norms[i])) continue;
+    for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+      PTILU_CHECK(std::isfinite(a.values[k]),
+                  "row " << i << " of A has a non-finite entry (" << a.values[k]
+                         << ") in column " << a.col_idx[k]);
+    }
+    PTILU_CHECK(norms[i] > 0.0, "row " << i << " of A is entirely zero");
+  }
+}
+
 IluFactors ilut(const Csr& a, const IlutOptions& opts, IlutStats* stats) {
   PTILU_CHECK(a.n_rows == a.n_cols, "ILUT needs a square matrix");
   PTILU_CHECK(opts.m >= 0 && opts.tau >= 0.0, "invalid ILUT options");
   const idx n = a.n_rows;
   const RealVec norms = row_norms(a, 2);
+  check_ilut_rows(a, norms);
 
   std::vector<SparseRow> lrows(n), urows(n);
   RealVec udiag(n, 0.0);
@@ -39,7 +52,6 @@ IluFactors ilut(const Csr& a, const IlutOptions& opts, IlutStats* stats) {
   IlutStats* st = stats != nullptr ? stats : &local_stats;
 
   for (idx i = 0; i < n; ++i) {
-    PTILU_CHECK(norms[i] > 0.0, "row " << i << " of A is entirely zero");
     const real tau_i = opts.tau * norms[i];
 
     ColumnHeap heap = make_column_heap(scratch.heap);

@@ -52,6 +52,7 @@ BlockedFactors ilut_blocked(const Csr& a, const BlockedIlutOptions& opts,
   PTILU_CHECK(opts.base.m >= 0 && opts.base.tau >= 0.0, "invalid ILUT options");
   const idx n = a.n_rows;
   const RealVec norms = row_norms(a, 2);
+  check_ilut_rows(a, norms);
 
   BlockedFactors f;
   f.n = n;
@@ -82,7 +83,6 @@ BlockedFactors ilut_blocked(const Csr& a, const BlockedIlutOptions& opts,
 
     real tau_min = std::numeric_limits<real>::infinity();
     for (int j = 0; j < nb; ++j) {
-      PTILU_CHECK(norms[r0 + j] > 0.0, "row " << r0 + j << " of A is entirely zero");
       tau_min = std::min(tau_min, opts.base.tau * norms[r0 + j]);
     }
 

@@ -26,7 +26,7 @@ struct MachineSpace {
 
   void residual(RealVec& r) {
     sim::ScopedPhase span(machine_, "residual");
-    dist_spmv(machine_, dist_, halo_, RealVec(x_.begin(), x_.end()), ax_);
+    dist_spmv(machine_, dist_, halo_, x_, ax_);
     precondition(true, r, "gmres/residual/scatter", "gmres/residual/gather");
   }
 

@@ -275,15 +275,15 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
       }
     }, "pilu0/exchange/request");
     machine.step([&](sim::RankContext& ctx) {
-      IdxVec requested, cols_payload;
+      IdxVec cols_payload;
       RealVec vals_payload;
-      for (const sim::Message& msg : ctx.recv_all()) {
+      for (const sim::MessageView& msg : ctx.recv_all()) {
         PTILU_CHECK(msg.tag == kTagUReq, "unexpected message in PILU0 exchange");
-        requested.clear();
-        sim::decode_indices_append(msg, requested);
         cols_payload.clear();
         vals_payload.clear();
-        for (const idx row : requested) {
+        const std::size_t count = sim::payload_count<idx>(msg);
+        for (std::size_t t = 0; t < count; ++t) {
+          const idx row = sim::payload_at<idx>(msg, t);
           const SparseRow& urow = urows[row];
           cols_payload.push_back(row);
           cols_payload.push_back(static_cast<idx>(urow.size()));
@@ -301,7 +301,7 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
       const int r = ctx.rank();
       IdxVec cols_payload;
       RealVec vals_payload;
-      for (const sim::Message& msg : ctx.recv_all()) {
+      for (const sim::MessageView& msg : ctx.recv_all()) {
         if (msg.tag == kTagUCols) {
           sim::decode_indices_append(msg, cols_payload);
         } else {

@@ -162,12 +162,11 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
       LevelLane& lane = level_lanes[static_cast<std::size_t>(ctx.lane())];
-      IdxVec pairs;
-      for (const sim::Message& msg : ctx.recv_all()) {
-        pairs.clear();
-        sim::decode_indices_append(msg, pairs);
-        for (std::size_t p = 0; p < pairs.size(); p += 2) {
-          adj[r][pos_dense[pairs[p]]].push_back(pairs[p + 1]);
+      for (const sim::MessageView& msg : ctx.recv_all()) {
+        const std::size_t count = sim::payload_count<idx>(msg);
+        for (std::size_t p = 0; p + 1 < count; p += 2) {
+          adj[r][pos_dense[sim::payload_at<idx>(msg, p)]].push_back(
+              sim::payload_at<idx>(msg, p + 1));
         }
       }
       // Duplicate adjacency entries (an edge present in both tails) are
@@ -288,16 +287,15 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     }, "pilut/exchange/request");
     machine.step([&](sim::RankContext& ctx) {
       LevelLane& ll = level_lanes[static_cast<std::size_t>(ctx.lane())];
-      IdxVec& requested = ll.elim_cols;  // idle here; reused as decode scratch
       IdxVec& cols_payload = ll.ucols_buf;
       RealVec& vals_payload = ll.uvals_buf;
-      for (const sim::Message& msg : ctx.recv_all()) {
+      for (const sim::MessageView& msg : ctx.recv_all()) {
         PTILU_CHECK(msg.tag == kTagUReq, "unexpected message during U exchange");
-        requested.clear();
-        sim::decode_indices_append(msg, requested);
         cols_payload.clear();
         vals_payload.clear();
-        for (const idx row : requested) {
+        const std::size_t count = sim::payload_count<idx>(msg);
+        for (std::size_t t = 0; t < count; ++t) {
+          const idx row = sim::payload_at<idx>(msg, t);
           const SparseRow& urow = state.urows[row];
           cols_payload.push_back(row);
           cols_payload.push_back(static_cast<idx>(urow.size()));
@@ -332,7 +330,7 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       RealVec& vals_payload = ll.uvals_buf;
       cols_payload.clear();
       vals_payload.clear();
-      for (const sim::Message& msg : ctx.recv_all()) {
+      for (const sim::MessageView& msg : ctx.recv_all()) {
         if (msg.tag == kTagUCols) {
           sim::decode_indices_append(msg, cols_payload);
         } else {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <ranges>
+#include <span>
 #include <utility>
 
 #include "ptilu/ilu/block_kernels.hpp"
@@ -15,13 +16,6 @@ namespace {
 
 constexpr int kTagIdx = 20;
 constexpr int kTagVal = 21;
-
-/// Per-lane working storage of one solve call (Machine::scratch_lanes).
-struct Lane {
-  IdxVec idx;
-  RealVec val;
-  RealVec acc;
-};
 
 /// Position of entry i of column c among column-major vectors of length n.
 std::size_t at(int c, std::size_t n, idx i) {
@@ -59,57 +53,55 @@ void solve_row(const Csr& m, const IdxVec& slot, bool upper, idx i, const real* 
 
 /// Per-call state of one sweep: one dense ghost region per rank over the
 /// plan's ghost columns (NaN until drained, so a value the plan failed to
-/// deliver cannot be read silently as a stale one) and per-lane scratch,
-/// plus the sweep's receive and send halves.
+/// deliver cannot be read silently as a stale one) and one scratch lane per
+/// Machine::scratch_lanes() — the values of one outbound message, then k
+/// row accumulators — plus the sweep's receive and send halves.
 class CallState {
  public:
   CallState(const sim::Machine& machine, const IdxVec& ghost_col,
-            const std::vector<std::size_t>& ghost_ptr, int k)
+            const std::vector<std::size_t>& ghost_ptr, std::size_t max_send_rows, int k)
       : ghost_col_(ghost_col),
         ghost_ptr_(ghost_ptr),
         k_(k),
+        acc_offset_(max_send_rows * static_cast<std::size_t>(k)),
+        lane_size_(acc_offset_ + static_cast<std::size_t>(k)),
         ghost_(ghost_col.size() * static_cast<std::size_t>(k),
                std::numeric_limits<real>::quiet_NaN()),
-        lanes_(static_cast<std::size_t>(machine.scratch_lanes())) {
-    for (Lane& lane : lanes_) lane.acc.resize(static_cast<std::size_t>(k));
-  }
+        lanes_(lane_size_ * static_cast<std::size_t>(machine.scratch_lanes())) {}
 
-  Lane& lane(const sim::RankContext& ctx) {
-    return lanes_[static_cast<std::size_t>(ctx.lane())];
-  }
+  real* acc(const sim::RankContext& ctx) { return lane(ctx) + acc_offset_; }
   real* ghost(int r) { return ghost_.data() + ghost_ptr_[r] * k_; }
 
-  /// Drain the step's inbound (idx, val) pairs into the rank's ghost region:
-  /// each received row is located among the rank's ascending ghost columns,
-  /// and its k values land in that slot.
+  /// Drain the step's inbound (rows, values) message pairs straight into
+  /// the rank's ghost region: each received row is located among the
+  /// rank's ascending ghost columns, and its k values land in that slot.
   void drain(sim::RankContext& ctx) {
     const int r = ctx.rank();
-    Lane& scratch = lane(ctx);
-    scratch.idx.clear();
-    scratch.val.clear();
-    // Called only from the solver's per-level ScopedPhase (phase inherited
-    // from the caller). ptilu-lint: allow(spmd-phase-coverage)
-    for (const sim::Message& msg : ctx.recv_all()) {
-      if (msg.tag == kTagIdx) {
-        sim::decode_indices_append(msg, scratch.idx);
-      } else {
-        PTILU_CHECK(msg.tag == kTagVal, "unexpected message in triangular solve");
-        sim::decode_reals_append(msg, scratch.val);
-      }
-    }
-    PTILU_CHECK(scratch.val.size() == scratch.idx.size() * static_cast<std::size_t>(k_),
-                "ghost batch mismatch: " << scratch.idx.size() << " indices, "
-                                         << scratch.val.size() << " values, k=" << k_);
     const auto first = ghost_col_.begin() + static_cast<std::ptrdiff_t>(ghost_ptr_[r]);
     const auto last = ghost_col_.begin() + static_cast<std::ptrdiff_t>(ghost_ptr_[r + 1]);
-    for (std::size_t t = 0; t < scratch.idx.size(); ++t) {
-      const idx j = scratch.idx[t];
-      const auto it = std::lower_bound(first, last, j);
-      PTILU_CHECK(it != last && *it == j,
-                  "rank " << r << " received row " << j
-                          << ", which none of its rows reads");
-      std::copy_n(scratch.val.begin() + static_cast<std::ptrdiff_t>(t * k_), k_,
-                  ghost(r) + static_cast<std::size_t>(it - first) * k_);
+    // Called only from the solver's per-level ScopedPhase (phase inherited
+    // from the caller). ptilu-lint: allow(spmd-phase-coverage)
+    const std::span<const sim::MessageView> inbox = ctx.recv_all();
+    for (std::size_t m = 0; m < inbox.size(); m += 2) {
+      const sim::MessageView& rows = inbox[m];
+      PTILU_CHECK(rows.tag == kTagIdx && m + 1 < inbox.size() &&
+                      inbox[m + 1].tag == kTagVal && inbox[m + 1].from == rows.from,
+                  "unexpected message in triangular solve");
+      const sim::MessageView& vals = inbox[m + 1];
+      const std::size_t count = sim::payload_count<idx>(rows);
+      PTILU_CHECK(sim::payload_count<real>(vals) == count * static_cast<std::size_t>(k_),
+                  "ghost batch mismatch: " << count << " indices, "
+                                           << sim::payload_count<real>(vals)
+                                           << " values, k=" << k_);
+      for (std::size_t t = 0; t < count; ++t) {
+        const idx j = sim::payload_at<idx>(rows, t);
+        const auto it = std::lower_bound(first, last, j);
+        PTILU_CHECK(it != last && *it == j,
+                    "rank " << r << " received row " << j
+                            << ", which none of its rows reads");
+        real* slot = ghost(r) + static_cast<std::size_t>(it - first) * k_;
+        for (int c = 0; c < k_; ++c) slot[c] = sim::payload_at<real>(vals, t * k_ + c);
+      }
     }
   }
 
@@ -117,27 +109,33 @@ class CallState {
   /// values each.
   template <typename Sends>
   void ship(sim::RankContext& ctx, const Sends& sends, const real* x, std::size_t n) {
-    RealVec& values = lane(ctx).val;
+    real* values = lane(ctx);
     for (const auto& send : sends) {
-      values.clear();
+      std::size_t count = 0;
       for (const idx i : send.rows) {
-        for (int c = 0; c < k_; ++c) values.push_back(x[at(c, n, i)]);
+        for (int c = 0; c < k_; ++c) values[count++] = x[at(c, n, i)];
       }
       // Every call site sits inside the solver's per-level ScopedPhase; the
       // phase is inherited lexically by the caller, not here.
       // ptilu-lint: allow(spmd-phase-coverage)
       ctx.send_indices(send.peer, kTagIdx, send.rows);
       // ptilu-lint: allow(spmd-phase-coverage)
-      ctx.send_reals(send.peer, kTagVal, values);
+      ctx.send_reals(send.peer, kTagVal, std::span<const real>(values, count));
     }
   }
 
  private:
+  real* lane(const sim::RankContext& ctx) {
+    return lanes_.data() + static_cast<std::size_t>(ctx.lane()) * lane_size_;
+  }
+
   const IdxVec& ghost_col_;
   const std::vector<std::size_t>& ghost_ptr_;
   int k_;
+  std::size_t acc_offset_;
+  std::size_t lane_size_;
   RealVec ghost_;
-  std::vector<Lane> lanes_;
+  RealVec lanes_;
 };
 
 }  // namespace
@@ -242,6 +240,11 @@ DistTriangularSolver::Plan DistTriangularSolver::build_plan(const Csr& m,
   for (int level = 0; level < q; ++level) {
     for (int r = 0; r < p; ++r) plan_step(level + 1, r, rows_of_level_[level][r]);
   }
+  for (const auto& sends : plan.sends) {
+    for (const Send& send : sends) {
+      plan.max_send_rows = std::max(plan.max_send_rows, send.rows.size());
+    }
+  }
   return plan;
 }
 
@@ -293,7 +296,7 @@ void DistTriangularSolver::forward_cols(sim::Machine& machine, const real* b, re
   const Plan& plan = fwd_;
   const std::size_t n = static_cast<std::size_t>(l.n_rows);
   const std::size_t p = static_cast<std::size_t>(sched.nranks);
-  CallState state(machine, plan.ghost_col, plan.ghost_ptr, k);
+  CallState state(machine, plan.ghost_col, plan.ghost_ptr, plan.max_send_rows, k);
   // Solves row i against a rank's ghost region; returns its flops.
   const auto solve = [&](idx i, const real* ghost, real* acc) {
     solve_row<K>(l, plan.slot, false, i, b, y, n, ghost, k, acc);
@@ -308,10 +311,9 @@ void DistTriangularSolver::forward_cols(sim::Machine& machine, const real* b, re
   sim::ScopedPhase span(machine, "interior");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    Lane& lane = state.lane(ctx);
     const auto [begin, end] = sched.interior_range[r];
     std::uint64_t flops = 0;
-    for (idx i = begin; i < end; ++i) flops += solve(i, state.ghost(r), lane.acc.data());
+    for (idx i = begin; i < end; ++i) flops += solve(i, state.ghost(r), state.acc(ctx));
     ctx.charge_flops(flops);
     state.ship(ctx, plan.sends[static_cast<std::size_t>(r)], y, n);
   }, "trisolve/fwd/interior");
@@ -322,11 +324,10 @@ void DistTriangularSolver::forward_cols(sim::Machine& machine, const real* b, re
   for (int level = 0; level < levels(); ++level) {
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      Lane& lane = state.lane(ctx);
       state.drain(ctx);
       std::uint64_t flops = 0;
       for (const idx i : rows_of_level_[level][r]) {
-        flops += solve(i, state.ghost(r), lane.acc.data());
+        flops += solve(i, state.ghost(r), state.acc(ctx));
       }
       ctx.charge_flops(flops);
       state.ship(ctx, plan.sends[(static_cast<std::size_t>(level) + 1) * p + r], y, n);
@@ -348,7 +349,7 @@ void DistTriangularSolver::backward_cols(sim::Machine& machine, const real* yin,
   const Plan& plan = bwd_;
   const std::size_t n = static_cast<std::size_t>(u.n_rows);
   const std::size_t p = static_cast<std::size_t>(sched.nranks);
-  CallState state(machine, plan.ghost_col, plan.ghost_ptr, k);
+  CallState state(machine, plan.ghost_col, plan.ghost_ptr, plan.max_send_rows, k);
   // Solves row i against a rank's ghost region; returns its flops.
   const auto solve = [&](idx i, const real* ghost, real* acc) {
     solve_row<K>(u, plan.slot, true, i, yin, x, n, ghost, k, acc);
@@ -363,7 +364,6 @@ void DistTriangularSolver::backward_cols(sim::Machine& machine, const real* yin,
   for (int level = levels() - 1; level >= 0; --level) {
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      Lane& lane = state.lane(ctx);
       state.drain(ctx);
       std::uint64_t flops = 0;
       const IdxVec& rows = rows_of_level_[level][r];
@@ -371,7 +371,7 @@ void DistTriangularSolver::backward_cols(sim::Machine& machine, const real* yin,
       // independent sets (order irrelevant), but the nested variant's
       // stages carry same-host sequential dependencies.
       for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-        flops += solve(*it, state.ghost(r), lane.acc.data());
+        flops += solve(*it, state.ghost(r), state.acc(ctx));
       }
       ctx.charge_flops(flops);
       state.ship(ctx, plan.sends[(static_cast<std::size_t>(level) + 1) * p + r], x, n);
@@ -386,12 +386,11 @@ void DistTriangularSolver::backward_cols(sim::Machine& machine, const real* yin,
   sim::ScopedPhase span(machine, "interior");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    Lane& lane = state.lane(ctx);
     state.drain(ctx);
     const auto [begin, end] = sched.interior_range[r];
     std::uint64_t flops = 0;
     for (idx i = end - 1; i >= begin; --i) {
-      flops += solve(i, state.ghost(r), lane.acc.data());
+      flops += solve(i, state.ghost(r), state.acc(ctx));
     }
     ctx.charge_flops(flops);
   }, "trisolve/bwd/interior");

@@ -21,17 +21,8 @@ namespace ptilu::sim {
 namespace {
 
 template <typename T>
-std::vector<std::byte> encode(const std::vector<T>& data) {
-  std::vector<std::byte> out(data.size() * sizeof(T));
-  if (!data.empty()) std::memcpy(out.data(), data.data(), out.size());
-  return out;
-}
-
-template <typename T>
-void decode_append(const Message& m, std::vector<T>& out) {
-  PTILU_CHECK(m.payload.size() % sizeof(T) == 0,
-              "payload size " << m.payload.size() << " not a multiple of element size");
-  const std::size_t count = m.payload.size() / sizeof(T);
+void decode_append(const MessageView& m, std::vector<T>& out) {
+  const std::size_t count = payload_count<T>(m);
   if (count == 0) return;
   const std::size_t old_size = out.size();
   out.resize(old_size + count);
@@ -39,7 +30,7 @@ void decode_append(const Message& m, std::vector<T>& out) {
 }
 
 template <typename T>
-std::vector<T> decode(const Message& m) {
+std::vector<T> decode(const MessageView& m) {
   std::vector<T> out;
   decode_append(m, out);
   return out;
@@ -128,7 +119,7 @@ class Machine::WorkerPool {
 
   int size() const { return static_cast<int>(threads_.size()); }
 
-  void run(int ntasks, const std::function<void(int)>& fn) {
+  void run(int ntasks, FunctionRef<void(int)> fn) {
     std::unique_lock<std::mutex> lock(mutex_);
     job_ = &fn;
     ntasks_ = ntasks;
@@ -148,7 +139,7 @@ class Machine::WorkerPool {
       work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
       if (shutdown_) return;
       seen = generation_;
-      const std::function<void(int)>* job = job_;
+      const FunctionRef<void(int)>* job = job_;
       const int ntasks = ntasks_;
       lock.unlock();
       while (true) {
@@ -166,7 +157,7 @@ class Machine::WorkerPool {
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;
+  const FunctionRef<void(int)>* job_ = nullptr;
   int ntasks_ = 0;
   int idle_ = 0;
   std::uint64_t generation_ = 0;
@@ -183,31 +174,28 @@ int RankContext::lane() const {
 void RankContext::charge_flops(std::uint64_t n) { machine_->charge_flops(rank_, n); }
 void RankContext::charge_mem(std::uint64_t n) { machine_->charge_mem(rank_, n); }
 
-void RankContext::send_bytes(int to, int tag, std::vector<std::byte> payload) {
-  machine_->post(rank_, to, tag, std::move(payload));
+void RankContext::send_bytes(int to, int tag, std::span<const std::byte> payload) {
+  machine_->post(rank_, to, tag, payload);
 }
 
-void RankContext::send_indices(int to, int tag, const IdxVec& data) {
-  send_bytes(to, tag, encode(data));
+void RankContext::send_indices(int to, int tag, std::span<const idx> data) {
+  send_bytes(to, tag, std::as_bytes(data));
 }
 
-void RankContext::send_reals(int to, int tag, const RealVec& data) {
-  send_bytes(to, tag, encode(data));
+void RankContext::send_reals(int to, int tag, std::span<const real> data) {
+  send_bytes(to, tag, std::as_bytes(data));
 }
 
-std::vector<Message> RankContext::recv_all() {
+std::span<const MessageView> RankContext::recv_all() {
   PTILU_ASSERT(tl_current_rank == -1 || tl_current_rank == rank_,
                "rank " << tl_current_rank << " drained rank " << rank_ << "'s inbox");
   if (machine_->checker_ != nullptr) machine_->checker_->on_recv_all(rank_);
-  // Sparse inbox: ranks with no inbound traffic have no map entry at all.
-  // find() only reads the tree and the exchange below only touches this
-  // rank's mapped vector, so concurrent drains from the worker pool are
-  // safe — the map's structure is mutated exclusively at the barrier.
-  const auto it = machine_->inbox_.find(rank_);
-  if (it == machine_->inbox_.end()) return {};
-  // std::exchange (not a bare move) so a second drain in the same superstep
-  // reads a well-defined empty inbox instead of a moved-from vector.
-  return std::exchange(it->second, std::vector<Message>{});
+  // Only this rank's cursor moves, so concurrent drains from the worker
+  // pool never write shared state; the views themselves are read-only.
+  const std::size_t first = machine_->unread_[rank_];
+  const std::size_t last = machine_->inbox_ptr_[rank_ + 1];
+  machine_->unread_[rank_] = last;
+  return {machine_->inbox_.data() + first, last - first};
 }
 
 void RankContext::declare_collective(CollectiveOp op, std::uint64_t bytes,
@@ -217,10 +205,24 @@ void RankContext::declare_collective(CollectiveOp op, std::uint64_t bytes,
   }
 }
 
-IdxVec decode_indices(const Message& m) { return decode<idx>(m); }
-RealVec decode_reals(const Message& m) { return decode<real>(m); }
-void decode_indices_append(const Message& m, IdxVec& out) { decode_append(m, out); }
-void decode_reals_append(const Message& m, RealVec& out) { decode_append(m, out); }
+IdxVec decode_indices(const MessageView& m) { return decode<idx>(m); }
+RealVec decode_reals(const MessageView& m) { return decode<real>(m); }
+void decode_indices_append(const MessageView& m, IdxVec& out) { decode_append(m, out); }
+void decode_reals_append(const MessageView& m, RealVec& out) { decode_append(m, out); }
+
+std::size_t decode_reals_into(const MessageView& m, std::span<real> out) {
+  const std::size_t count = payload_count<real>(m);
+  PTILU_CHECK(count <= out.size(), "payload of " << count << " values overflows a "
+                                                 << out.size() << "-value destination");
+  if (count > 0) std::memcpy(out.data(), m.payload.data(), m.payload.size());
+  return count;
+}
+
+void Machine::SendSlab::recycle() {
+  if (bytes.capacity() > std::max(kSlabKeepBytes, 4 * bytes.size())) bytes.shrink_to_fit();
+  bytes.clear();
+  headers.clear();
+}
 
 Machine::Machine(int nranks, MachineParams params)
     : Machine(nranks, Options{.params = params}) {}
@@ -232,7 +234,9 @@ Machine::Machine(int nranks, const Options& options)
       threads_option_(options.threads),
       clock_(nranks, 0.0),
       counters_(nranks),
-      staged_(nranks) {
+      slabs_{std::vector<SendSlab>(nranks), std::vector<SendSlab>(nranks)},
+      inbox_ptr_(static_cast<std::size_t>(nranks) + 1, 0),
+      unread_(nranks, 0) {
   PTILU_CHECK(nranks >= 1, "machine needs at least one rank");
   if (options.check) {
     checker_ = std::make_unique<Conformance>(nranks, options.transcript_tail);
@@ -290,7 +294,7 @@ void Machine::charge_mem(int rank, std::uint64_t n) {
   clock_[rank] += cost;
 }
 
-void Machine::post(int from, int to, int tag, std::vector<std::byte> payload) {
+void Machine::post(int from, int to, int tag, std::span<const std::byte> payload) {
   PTILU_ASSERT(tl_current_rank == -1 || tl_current_rank == from,
                "rank " << tl_current_rank << " posted a message as rank " << from);
   // The checker validates the destination first: its report names the call
@@ -312,16 +316,17 @@ void Machine::post(int from, int to, int tag, std::vector<std::byte> payload) {
     }
   }
   clock_[from] += cost;
-  // Rank-local like the staged outbox below: only `from`'s comm-matrix row
-  // is touched, so the threaded backend needs no merge machinery here.
+  // Rank-local like the slab below: only `from`'s comm-matrix row is
+  // touched, so the threaded backend needs no merge machinery here.
   if (metrics_ != nullptr) metrics_->on_send(from, to, bytes);
-  // Staged in the *sender's* slot (no cross-rank write); the barrier merges
-  // the stages destination-wise in sender-rank order, reproducing exactly
-  // the delivery order of a per-destination push.
-  staged_[from].push_back(Posted{to, Message{from, tag, std::move(payload)}});
+  // Copied into the *sender's* slab (no cross-rank write); the barrier
+  // sorts the headers by destination.
+  SendSlab& slab = slabs_[posting_][from];
+  slab.headers.push_back(Header{to, tag, slab.bytes.size(), payload.size()});
+  slab.bytes.insert(slab.bytes.end(), payload.begin(), payload.end());
 }
 
-void Machine::run_bodies(const std::function<void(RankContext&)>& body) {
+void Machine::run_bodies(FunctionRef<void(RankContext&)> body) {
   for (int r = 0; r < nranks_; ++r) {
     const RankGuard guard(r);
     RankContext ctx(*this, r);
@@ -338,7 +343,7 @@ void Machine::flush_pending_trace(int upto_rank) {
   for (auto& spans : pending_trace_) spans.clear();
 }
 
-void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body) {
+void Machine::run_bodies_threaded(FunctionRef<void(RankContext&)> body) {
   const bool tracing = trace_ != nullptr;
   if (tracing) {
     pending_trace_.resize(static_cast<std::size_t>(nranks_));
@@ -350,22 +355,22 @@ void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body)
   // Snapshot per-rank accounting: if a body throws, the ranks the
   // sequential interpreter would never have run are rolled back so the
   // machine state after the throw matches the sequential backend's.
-  const std::vector<double> clock_before = clock_;
-  const std::vector<RankCounters> counters_before = counters_;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks_));
+  clock_before_.assign(clock_.begin(), clock_.end());
+  counters_before_.assign(counters_.begin(), counters_.end());
+  errors_.resize(static_cast<std::size_t>(nranks_));
   pool_->run(nranks_, [&](int r) {
     const RankGuard guard(r);
     try {
       RankContext ctx(*this, r);
       body(ctx);
     } catch (...) {
-      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      errors_[static_cast<std::size_t>(r)] = std::current_exception();
     }
   });
   trace_deferred_ = false;
   int bad = -1;
   for (int r = 0; r < nranks_; ++r) {
-    if (errors[static_cast<std::size_t>(r)] != nullptr) {
+    if (errors_[static_cast<std::size_t>(r)] != nullptr) {
       bad = r;
       break;
     }
@@ -381,14 +386,16 @@ void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body)
   // their accounting and discard their staged traffic and buffered
   // observations before propagating.
   for (int r = bad + 1; r < nranks_; ++r) {
-    clock_[r] = clock_before[r];
-    counters_[r] = counters_before[r];
-    staged_[r].clear();
+    clock_[r] = clock_before_[r];
+    counters_[r] = counters_before_[r];
+    slabs_[posting_][r].recycle();
   }
   if (tracing) flush_pending_trace(bad + 1);
   if (checker_ != nullptr) checker_->end_deferred(bad + 1);
+  const std::exception_ptr error = errors_[static_cast<std::size_t>(bad)];
+  std::fill(errors_.begin(), errors_.end(), nullptr);
   try {
-    std::rethrow_exception(errors[static_cast<std::size_t>(bad)]);
+    std::rethrow_exception(error);
   } catch (const Conformance::DeferredViolation& v) {
     // Rebuild the sequential report now that the committed transcript is
     // identical to what the sequential interpreter would hold.
@@ -396,8 +403,33 @@ void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body)
   }
 }
 
-void Machine::step(const std::function<void(RankContext&)>& body,
-                   std::string_view site) {
+void Machine::deliver() {
+  // Views handed out this superstep expire here: recycle the slabs they
+  // point into, which become the next superstep's posting half.
+  std::vector<SendSlab>& posted = slabs_[posting_];
+  posting_ ^= 1;
+  for (SendSlab& slab : slabs_[posting_]) slab.recycle();
+  // Stable counting sort of the posted headers on destination. Placing
+  // from the back with decrementing cursors keeps (sender rank, post
+  // order) within each destination and leaves each cursor at its rank's
+  // first message — exactly the undrained start recv_all wants.
+  std::fill(inbox_ptr_.begin(), inbox_ptr_.end(), 0);
+  for (const SendSlab& slab : posted) {
+    for (const Header& h : slab.headers) ++inbox_ptr_[static_cast<std::size_t>(h.to) + 1];
+  }
+  for (int r = 0; r < nranks_; ++r) inbox_ptr_[r + 1] += inbox_ptr_[r];
+  inbox_.resize(inbox_ptr_[nranks_]);
+  std::copy(inbox_ptr_.begin() + 1, inbox_ptr_.end(), unread_.begin());
+  for (int s = nranks_ - 1; s >= 0; --s) {
+    const SendSlab& slab = posted[s];
+    for (auto h = slab.headers.rbegin(); h != slab.headers.rend(); ++h) {
+      inbox_[--unread_[h->to]] =
+          MessageView{s, h->tag, {slab.bytes.data() + h->offset, h->length}};
+    }
+  }
+}
+
+void Machine::step(FunctionRef<void(RankContext&)> body, std::string_view site) {
   if (checker_ != nullptr) checker_->on_step_begin(supersteps_, site);
   if (backend_ == Backend::kThreads && nranks_ > 1) {
     run_bodies_threaded(body);
@@ -408,29 +440,22 @@ void Machine::step(const std::function<void(RankContext&)>& body,
   // must agree, and an undrained inbox is flagged before the delivery below
   // silently drops its messages.
   if (checker_ != nullptr) checker_->on_barrier(supersteps_);
-  // Deliver staged messages for the next superstep, destination-wise in
-  // (sender rank, program order). This merge is the only point where
-  // messages cross ranks, and it runs on the main thread. The inbox map
-  // only grows entries for destinations that actually receive something,
-  // so delivery work is proportional to traffic, not to nranks.
-  inbox_.clear();
-  for (int s = 0; s < nranks_; ++s) {
-    if (staged_[s].empty()) continue;
-    for (Posted& p : staged_[s]) inbox_[p.to].push_back(std::move(p.msg));
-    staged_[s].clear();
-  }
-  // Receivers pay the per-byte cost of draining their inbound traffic.
-  // Only ranks with an inbox entry are visited (ascending rank order, the
-  // same order the old dense scan used); ranks without inbound traffic
-  // previously added a cost of exactly 0.0 and recorded no trace span, so
-  // skipping them is bit-identical.
-  for (auto& [r, box] : inbox_) {
+  // Deliver this superstep's posts for the next one. This is the only
+  // point where messages cross ranks, and it runs on the main thread.
+  deliver();
+  // Receivers pay the per-byte cost of draining their inbound traffic, in
+  // ascending rank order. Ranks without inbound messages are skipped: they
+  // would add exactly 0.0 and record no span.
+  for (int r = 0; r < nranks_; ++r) {
+    const std::size_t first = inbox_ptr_[r];
+    const std::size_t last = inbox_ptr_[r + 1];
+    if (first == last) continue;
     std::uint64_t inbound = 0;
-    for (const Message& m : box) inbound += m.payload.size();
+    for (std::size_t e = first; e < last; ++e) inbound += inbox_[e].payload.size();
     const double cost = static_cast<double>(inbound) * params_.beta;
     if (trace_ != nullptr && inbound > 0) {
       trace_->record(r, SpanKind::kRecv, clock_[r], clock_[r] + cost, 0, inbound,
-                     box.size());
+                     last - first);
     }
     clock_[r] += cost;
   }
@@ -451,7 +476,7 @@ void Machine::step(const std::function<void(RankContext&)>& body,
   ++supersteps_;
 }
 
-double Machine::allreduce_sum(const std::function<double(int)>& value_of_rank,
+double Machine::allreduce_sum(FunctionRef<double(int)> value_of_rank,
                               std::string_view site) {
   reduce_real_.assign(static_cast<std::size_t>(nranks_), 0.0);
   in_allreduce_ = true;
@@ -468,7 +493,7 @@ double Machine::allreduce_sum(const std::function<double(int)>& value_of_rank,
   return total;
 }
 
-double Machine::allreduce_max(const std::function<double(int)>& value_of_rank,
+double Machine::allreduce_max(FunctionRef<double(int)> value_of_rank,
                               std::string_view site) {
   reduce_real_.assign(static_cast<std::size_t>(nranks_),
                       -std::numeric_limits<double>::infinity());
@@ -485,7 +510,7 @@ double Machine::allreduce_max(const std::function<double(int)>& value_of_rank,
   return best;
 }
 
-long long Machine::allreduce_sum_ll(const std::function<long long(int)>& value_of_rank,
+long long Machine::allreduce_sum_ll(FunctionRef<long long(int)> value_of_rank,
                                     std::string_view site) {
   reduce_ll_.assign(static_cast<std::size_t>(nranks_), 0);
   in_allreduce_ = true;
@@ -596,8 +621,12 @@ void Machine::reset() {
   if (metrics_ != nullptr) metrics_->on_reset(clock_, counters_);
   std::fill(clock_.begin(), clock_.end(), 0.0);
   counters_.assign(nranks_, RankCounters{});
+  for (auto& half : slabs_) {
+    for (SendSlab& slab : half) slab.recycle();
+  }
   inbox_.clear();
-  for (auto& box : staged_) box.clear();
+  std::fill(inbox_ptr_.begin(), inbox_ptr_.end(), 0);
+  std::fill(unread_.begin(), unread_.end(), 0);
   for (auto& spans : pending_trace_) spans.clear();
   supersteps_ = 0;
   if (trace_ != nullptr) trace_->on_machine_reset();

@@ -14,7 +14,7 @@ void clean(ptilu::sim::Machine& machine, const ptilu::IdxVec& data) {
     }, "fixture/send");
   }
   machine.step([&](ptilu::sim::RankContext& ctx) {
-    for (const ptilu::sim::Message& msg : ctx.recv_all()) {
+    for (const ptilu::sim::MessageView& msg : ctx.recv_all()) {
       (void)msg;
     }
   }, "fixture/drain");

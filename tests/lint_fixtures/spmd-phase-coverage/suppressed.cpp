@@ -10,7 +10,7 @@ void ship(ptilu::sim::RankContext& ctx, int peer, const ptilu::IdxVec& data) {
 }
 
 void drain(ptilu::sim::RankContext& ctx) {
-  for (const ptilu::sim::Message& msg :
+  for (const ptilu::sim::MessageView& msg :
        ctx.recv_all()) {  // ptilu-lint: allow(spmd-phase-coverage)
     (void)msg;
   }

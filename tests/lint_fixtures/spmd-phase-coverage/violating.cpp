@@ -7,7 +7,7 @@ void violating(ptilu::sim::Machine& machine, const ptilu::IdxVec& data) {
     ctx.send_indices((ctx.rank() + 1) % ctx.nranks(), /*tag=*/0, data);
   }, "fixture/send");
   machine.step([&](ptilu::sim::RankContext& ctx) {
-    for (const ptilu::sim::Message& msg : ctx.recv_all()) {
+    for (const ptilu::sim::MessageView& msg : ctx.recv_all()) {
       (void)msg;
     }
   }, "fixture/drain");

@@ -462,7 +462,7 @@ TEST(BackendStress, ManySendsPerRankUnderChecking) {
     for (int s = 0; s < kSteps; ++s) {
       machine.step([&](sim::RankContext& ctx) {
         const int r = ctx.rank();
-        for (const sim::Message& msg : ctx.recv_all()) {
+        for (const sim::MessageView& msg : ctx.recv_all()) {
           rank_words[r] += sim::decode_indices(msg).size();
         }
         ctx.charge_flops(100 + static_cast<std::uint64_t>(r));
@@ -475,7 +475,7 @@ TEST(BackendStress, ManySendsPerRankUnderChecking) {
       }, "stress/step");
     }
     machine.step([&](sim::RankContext& ctx) {
-      for (const sim::Message& msg : ctx.recv_all()) {
+      for (const sim::MessageView& msg : ctx.recv_all()) {
         rank_words[ctx.rank()] += sim::decode_indices(msg).size();
       }
     }, "stress/drain");
@@ -519,7 +519,7 @@ TEST(BackendProperty, RandomizedSendPatternsDeliverIdentically) {
       for (int s = 0; s < kSteps; ++s) {
         machine.step([&](sim::RankContext& ctx) {
           const int r = ctx.rank();
-          for (const sim::Message& msg : ctx.recv_all()) {
+          for (const sim::MessageView& msg : ctx.recv_all()) {
             log[r].emplace_back(msg.from, msg.tag, sim::decode_indices(msg));
           }
           for (const auto& [to, tag, payload] : plan[s][r]) {
@@ -528,7 +528,7 @@ TEST(BackendProperty, RandomizedSendPatternsDeliverIdentically) {
         }, "property/step");
       }
       machine.step([&](sim::RankContext& ctx) {
-        for (const sim::Message& msg : ctx.recv_all()) {
+        for (const sim::MessageView& msg : ctx.recv_all()) {
           log[ctx.rank()].emplace_back(msg.from, msg.tag, sim::decode_indices(msg));
         }
       }, "property/drain");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ptilu/ilu/factors.hpp"
 #include "ptilu/ilu/ilut.hpp"
@@ -244,6 +245,29 @@ TEST(Ilut, RejectsZeroRow) {
   a.col_idx = {0};
   a.values = {1.0};
   EXPECT_THROW(ilut(a, {.m = 2, .tau = 0.0}), Error);
+}
+
+TEST(Ilut, NamesNonFiniteEntryInsteadOfZeroRow) {
+  // NaN > 0 is false, so a row norm check alone would call this row
+  // "entirely zero". The diagnosis names the first non-finite entry.
+  const auto error_of = [](real bad) {
+    Csr a = workloads::convection_diffusion_2d(4, 4, 1.0, 0.0);
+    for (nnz_t k = a.row_ptr[5]; k < a.row_ptr[6]; ++k) {
+      if (a.col_idx[k] == 4) a.values[k] = bad;
+    }
+    try {
+      (void)ilut(a, {.m = 4, .tau = 1e-3});
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const real bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    const std::string what = error_of(bad);
+    EXPECT_NE(what.find("row 5 of A has a non-finite entry"), std::string::npos) << what;
+    EXPECT_NE(what.find("in column 4"), std::string::npos) << what;
+    EXPECT_EQ(what.find("entirely zero"), std::string::npos) << what;
+  }
 }
 
 TEST(Ilu0, PatternMatchesOriginal) {

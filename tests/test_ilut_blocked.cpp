@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <ostream>
+#include <string>
 
 #include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/ilu/ilut.hpp"
@@ -288,6 +289,28 @@ Csr singular_leading_block() {
   b.add(3, 3, 4.0);
   b.add(3, 1, 1.0);
   return b.to_csr();
+}
+
+TEST(BlockedIlut, NamesNonFiniteEntryInsteadOfZeroRow) {
+  // Same diagnosis as scalar ILUT: the row and column of the first NaN or
+  // Inf entry, never "entirely zero".
+  const BlockedIlutOptions opts{.base = {.m = 4, .tau = 1e-3},
+                                .panels = {.max_panel = 4, .slack = 4.0}};
+  for (const real bad : {std::nan(""), HUGE_VAL}) {
+    Csr a = workloads::convection_diffusion_2d(4, 4, 1.0, 0.0);
+    for (nnz_t k = a.row_ptr[9]; k < a.row_ptr[10]; ++k) {
+      if (a.col_idx[k] == 10) a.values[k] = bad;
+    }
+    std::string what = "no error";
+    try {
+      (void)ilut_blocked(a, opts);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("row 9 of A has a non-finite entry"), std::string::npos) << what;
+    EXPECT_NE(what.find("in column 10"), std::string::npos) << what;
+    EXPECT_EQ(what.find("entirely zero"), std::string::npos) << what;
+  }
 }
 
 TEST(PivotGuard, SingularLeadingBlockThrowsWithoutGuard) {

@@ -65,7 +65,7 @@ void run_ring_program(sim::Machine& m) {
     m.step(
         [&](sim::RankContext& ctx) {
           const int r = ctx.rank();
-          for (const sim::Message& msg : ctx.recv_all()) {
+          for (const sim::MessageView& msg : ctx.recv_all()) {
             ctx.charge_mem(msg.payload.size());
           }
           const IdxVec halo(8, static_cast<idx>(r));
@@ -129,7 +129,7 @@ TEST(ScaleIdentity, SparseInboxSkipsIdleRanksAtP4096) {
       m.step(
           [&](sim::RankContext& ctx) {
             const int r = ctx.rank();
-            for (const sim::Message& msg : ctx.recv_all()) {
+            for (const sim::MessageView& msg : ctx.recv_all()) {
               ctx.charge_mem(msg.payload.size());
             }
             if (r % 512 == 0) {

@@ -1,6 +1,11 @@
 // Tests for the simulated distributed-memory machine (BSP cost model).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ptilu/sim/machine.hpp"
 
 namespace ptilu::sim {
@@ -197,9 +202,8 @@ TEST(Machine, CollectiveChargesTreeMessages) {
 }
 
 TEST(Machine, RecvAllSecondDrainSeesEmptyInbox) {
-  // recv_all moves the inbox out; a second drain in the same superstep (or
-  // any later one) must see a well-defined empty inbox, not a moved-from
-  // vector. Regression test for the std::exchange in recv_all. Checking is
+  // recv_all consumes the inbox; a second drain in the same superstep (or
+  // any later one) must see a well-defined empty inbox. Checking is
   // explicitly off: this test pins the unchecked fallback behavior, while
   // the conformance checker (test_conformance.cpp) reports the same double
   // drain as a protocol violation.
@@ -235,6 +239,162 @@ TEST(Machine, ChargeTransferRejectsBadRanks) {
   EXPECT_THROW(m.charge_transfer(0, 5, 10), Error);
   EXPECT_THROW(m.charge_transfer(-1, 1, 10), Error);
 }
+
+// ---- Message plane: send slabs, delivery order, view lifetime ----------
+
+/// Error text of `body`, or "" when it does not throw.
+template <typename Body>
+std::string error_of(Body&& body) {
+  try {
+    body();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+class MessagePlane : public ::testing::TestWithParam<Backend> {
+ protected:
+  Machine::Options options(bool check = false) const {
+    return {.check = check, .backend = GetParam(), .threads = 2, .metrics = false};
+  }
+};
+
+TEST_P(MessagePlane, DeliversInSenderRankThenPostOrder) {
+  // Every rank posts six messages to destinations in a scrambled order;
+  // each receiver must see exactly its messages, ascending by sender and,
+  // per sender, in post order.
+  constexpr int p = 5;
+  constexpr int kPosts = 6;
+  const auto dest = [](int r, int seq) { return (3 * r + 2 * seq + seq * seq) % p; };
+  Machine m(p, options());
+  m.step([&](RankContext& ctx) {
+    for (int seq = 0; seq < kPosts; ++seq) {
+      ctx.send_indices(dest(ctx.rank(), seq), /*tag=*/seq, {ctx.rank(), seq});
+    }
+  });
+  std::vector<std::vector<std::pair<int, int>>> got(p);
+  m.step([&](RankContext& ctx) {
+    for (const MessageView& msg : ctx.recv_all()) {
+      const IdxVec data = decode_indices(msg);
+      ASSERT_EQ(data.size(), 2u);
+      EXPECT_EQ(data[0], msg.from);
+      EXPECT_EQ(data[1], msg.tag);
+      got[ctx.rank()].emplace_back(msg.from, msg.tag);
+    }
+  });
+  for (int r = 0; r < p; ++r) {
+    std::vector<std::pair<int, int>> expected;
+    for (int s = 0; s < p; ++s) {
+      for (int seq = 0; seq < kPosts; ++seq) {
+        if (dest(s, seq) == r) expected.emplace_back(s, seq);
+      }
+    }
+    EXPECT_EQ(got[r], expected) << "receiver " << r;
+  }
+}
+
+TEST_P(MessagePlane, FirstDrainViewsSurviveSecondDrainAndNewPosts) {
+  Machine m(3, options());
+  m.step([](RankContext& ctx) {
+    if (ctx.rank() == 0) ctx.send_indices(1, /*tag=*/7, {1, 2, 3});
+    if (ctx.rank() == 2) ctx.send_reals(1, /*tag=*/8, RealVec(1000, 0.5));
+  });
+  m.step([](RankContext& ctx) {
+    const std::span<const MessageView> first = ctx.recv_all();
+    // Every rank posts far more than the slabs have held so far, so any
+    // view into a slab being refilled would dangle.
+    ctx.send_reals((ctx.rank() + 1) % 3, /*tag=*/9, RealVec(20000, 2.0));
+    if (ctx.rank() != 1) return;
+    EXPECT_TRUE(ctx.recv_all().empty());
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[0].from, 0);
+    EXPECT_EQ(decode_indices(first[0]), (IdxVec{1, 2, 3}));
+    EXPECT_EQ(first[1].from, 2);
+    EXPECT_EQ(decode_reals(first[1]), RealVec(1000, 0.5));
+  });
+  m.step([](RankContext& ctx) {
+    const auto msgs = ctx.recv_all();
+    ASSERT_EQ(msgs.size(), 1u);
+    EXPECT_EQ(decode_reals(msgs[0]), RealVec(20000, 2.0));
+  });
+}
+
+TEST_P(MessagePlane, EmptyPayloadIsDeliveredAndCharged) {
+  Machine m(2, options());
+  m.step([](RankContext& ctx) {
+    if (ctx.rank() == 0) ctx.send_bytes(1, /*tag=*/4, {});
+  });
+  EXPECT_EQ(m.counters(0).messages_sent, 1u);
+  EXPECT_EQ(m.counters(0).bytes_sent, 0u);
+  Machine silent(2, options());
+  silent.step([](RankContext&) {});
+  EXPECT_DOUBLE_EQ(m.modeled_time(), silent.modeled_time() + m.params().alpha);
+  m.step([](RankContext& ctx) {
+    const auto msgs = ctx.recv_all();
+    if (ctx.rank() == 0) {
+      EXPECT_TRUE(msgs.empty());
+      return;
+    }
+    ASSERT_EQ(msgs.size(), 1u);
+    EXPECT_EQ(msgs[0].from, 0);
+    EXPECT_EQ(msgs[0].tag, 4);
+    EXPECT_TRUE(msgs[0].payload.empty());
+    EXPECT_TRUE(decode_indices(msgs[0]).empty());
+  });
+}
+
+TEST_P(MessagePlane, UndrainedEmptyPayloadIsReportedLost) {
+  Machine m(2, options(/*check=*/true));
+  m.step([](RankContext& ctx) {
+    if (ctx.rank() == 0) ctx.send_bytes(1, /*tag=*/4, {});
+  }, "test/send_empty");
+  const std::string what = error_of([&] { m.step([](RankContext&) {}, "test/ignore"); });
+  EXPECT_NE(what.find("rank 1 never received 1 message(s)"), std::string::npos) << what;
+}
+
+TEST_P(MessagePlane, SendToInvalidRankIsDiagnosed) {
+  // Unchecked; the checker's report is pinned across backends by
+  // BackendConformance.BadSendReportsMatch.
+  for (const int to : {2, -1}) {
+    Machine m(2, options());
+    const std::string what = error_of([&] {
+      m.step([&](RankContext& ctx) { ctx.send_reals(to, 0, {1.0}); });
+    });
+    EXPECT_NE(what.find("send to invalid rank " + std::to_string(to)), std::string::npos)
+        << what;
+  }
+}
+
+TEST_P(MessagePlane, DecodeRejectsPartialElements) {
+  Machine m(2, options());
+  m.step([](RankContext& ctx) {
+    const std::byte three[3] = {};
+    if (ctx.rank() == 0) ctx.send_bytes(1, /*tag=*/0, three);
+  });
+  m.step([](RankContext& ctx) {
+    for (const MessageView& msg : ctx.recv_all()) {
+      EXPECT_EQ(msg.payload.size(), 3u);
+      EXPECT_NE(error_of([&] { (void)decode_reals(msg); }).find("not a multiple"),
+                std::string::npos);
+    }
+  });
+}
+
+TEST_P(MessagePlane, ResetDropsMessagesInFlight) {
+  Machine m(2, options());
+  m.step([](RankContext& ctx) { ctx.send_indices(1 - ctx.rank(), 0, {1}); });
+  m.step([](RankContext& ctx) { ctx.send_indices(1 - ctx.rank(), 0, {2}); });
+  m.reset();
+  m.step([](RankContext& ctx) { EXPECT_TRUE(ctx.recv_all().empty()); });
+  m.step([](RankContext& ctx) { EXPECT_TRUE(ctx.recv_all().empty()); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, MessagePlane,
+                         ::testing::Values(Backend::kSequential, Backend::kThreads),
+                         [](const ::testing::TestParamInfo<Backend>& backend) {
+                           return std::string(backend_name(backend.param));
+                         });
 
 }  // namespace
 }  // namespace ptilu::sim
