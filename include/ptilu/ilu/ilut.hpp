@@ -53,6 +53,10 @@ IluFactors ilut(const Csr& a, const IlutOptions& opts, IlutStats* stats = nullpt
 /// squares overflow the norm pass, as before.
 void check_ilut_rows(const Csr& a, const RealVec& norms);
 
+/// Throw, naming the column and the value, if row i of A holds a NaN or
+/// Inf. check_ilut_rows and the parallel factor drivers share it.
+void check_finite_row(const Csr& a, idx i);
+
 /// ILU(0): zero-fill incomplete factorization on the sparsity pattern of A
 /// (the static baseline the paper contrasts with, Figure 1a).
 IluFactors ilu0(const Csr& a, IlutStats* stats = nullptr);

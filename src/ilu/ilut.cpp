@@ -25,14 +25,18 @@ void emit_urow(SparseRow& urow, idx i, real diag, const SparseRow& upper) {
 
 }  // namespace
 
+void check_finite_row(const Csr& a, idx i) {
+  for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+    PTILU_CHECK(std::isfinite(a.values[k]),
+                "row " << i << " of A has a non-finite entry (" << a.values[k]
+                       << ") in column " << a.col_idx[k]);
+  }
+}
+
 void check_ilut_rows(const Csr& a, const RealVec& norms) {
   for (idx i = 0; i < a.n_rows; ++i) {
     if (norms[i] > 0.0 && std::isfinite(norms[i])) continue;
-    for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      PTILU_CHECK(std::isfinite(a.values[k]),
-                  "row " << i << " of A has a non-finite entry (" << a.values[k]
-                         << ") in column " << a.col_idx[k]);
-    }
+    check_finite_row(a, i);
     PTILU_CHECK(norms[i] > 0.0, "row " << i << " of A is entirely zero");
   }
 }

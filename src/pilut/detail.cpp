@@ -2,38 +2,14 @@
 
 #include <algorithm>
 
-#include "ptilu/sim/trace.hpp"
+#include "ptilu/ilu/ilut.hpp"
 
 namespace ptilu::pilut_detail {
 
-FactorCounters factor_counters(sim::Machine& machine) {
-  FactorCounters counters;
-  counters.metrics = machine.metrics();
-  if (counters.metrics != nullptr) {
-    counters.fill = counters.metrics->counter_id("factor/fill");
-    counters.dropped = counters.metrics->counter_id("factor/dropped");
-    counters.guarded = counters.metrics->counter_id("factor/pivots_guarded");
-  }
-  return counters;
-}
+namespace {
 
-std::vector<Lane> make_lanes(const sim::Machine& machine, idx n) {
-  std::vector<Lane> lanes;
-  const int count = machine.scratch_lanes();
-  lanes.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) lanes.emplace_back(n);
-  return lanes;
-}
-
-void merge_lane_stats(std::vector<Lane>& lanes, PilutStats& stats) {
-  for (Lane& lane : lanes) {
-    stats.pivots_guarded += lane.pivots_guarded;
-    stats.max_reduced_row = std::max(stats.max_reduced_row, lane.max_reduced_row);
-    lane.pivots_guarded = 0;
-    lane.max_reduced_row = 0;
-  }
-}
-
+/// Renumber per-original-row factor rows into the new ordering and build
+/// the final CSR factors (L strictly lower sorted, U diag-first sorted).
 void assemble_factors(const std::vector<SparseRow>& lrows,
                       const std::vector<SparseRow>& urows, const IdxVec& newnum,
                       IluFactors& out) {
@@ -66,144 +42,71 @@ void assemble_factors(const std::vector<SparseRow>& lrows,
   out.u = rows_to_csr(n, unew);
 }
 
-void run_interior_phase(sim::Machine& machine, const DistCsr& dist,
-                        const PilutOptions& opts, const RealVec& norms,
-                        FactorState& state, std::vector<Lane>& lanes,
-                        PilutSchedule& sched, PilutStats& stats) {
-  const Csr& a = dist.a;
-  const int nranks = dist.nranks;
+}  // namespace
 
-  sched.interior_range.resize(nranks);
-  idx next_num = 0;
-  for (int r = 0; r < nranks; ++r) {
+FactorRun::FactorRun(sim::Machine& m, const DistCsr& d)
+    : machine(m), dist(d), norms(row_norms(d.a, 2)), state(d.n()) {
+  PTILU_CHECK(machine.nranks() == dist.nranks, "machine/partition rank mismatch");
+  machine.reset();
+  const idx n = dist.n();
+  for (idx i = 0; i < n; ++i) {
+    if (!std::isfinite(norms[i])) check_finite_row(dist.a, i);
+  }
+  for (int i = 0; i < machine.scratch_lanes(); ++i) lanes.emplace_back(n);
+  counters.metrics = machine.metrics();
+  if (counters.metrics != nullptr) {
+    counters.fill = counters.metrics->counter_id("factor/fill");
+    counters.dropped = counters.metrics->counter_id("factor/dropped");
+    counters.guarded = counters.metrics->counter_id("factor/pivots_guarded");
+  }
+
+  PilutSchedule& sched = result.schedule;
+  sched.nranks = dist.nranks;
+  sched.newnum.assign(n, -1);
+  sched.interior_range.resize(dist.nranks);
+  active.resize(dist.nranks);
+  for (int r = 0; r < dist.nranks; ++r) {
     const idx begin = next_num;
     for (const idx v : dist.owned_rows[r]) {
-      if (!dist.interface[v]) sched.newnum[v] = next_num++;
+      if (dist.interface[v]) {
+        active[r].push_back(v);
+      } else {
+        sched.newnum[v] = next_num++;
+      }
     }
     sched.interior_range[r] = {begin, next_num};
+    remaining += static_cast<long long>(active[r].size());
   }
   sched.n_interior = next_num;
-  stats.interface_nodes = a.n_rows - next_num;
-
-  const FactorCounters counters = factor_counters(machine);
-  sim::ScopedPhase phase(machine, "factor/interior");
-  machine.step([&](sim::RankContext& ctx) {
-    const int r = ctx.rank();
-    Lane& lane = lanes[static_cast<std::size_t>(ctx.lane())];
-    WorkingRow& w = lane.w;
-    FactorScratch& scratch = lane.scratch;
-    std::uint64_t flops = 0;
-    FillDropTally tally;
-    for (const idx i : dist.owned_rows[r]) {
-      if (dist.interface[i]) continue;
-      const real tau_i = opts.tau * norms[i];
-      const auto eliminatable = [&](idx c) { return c < i && !dist.interface[c]; };
-      ColumnHeap heap = make_column_heap(scratch.heap);
-      for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-        const idx c = a.col_idx[k];
-        w.insert(c, a.values[k]);
-        if (eliminatable(c)) heap.push(c);  // columns are local by definition
-      }
-      flops += eliminate_cascading(w, state, tau_i, heap, eliminatable, tally);
-
-      SparseRow& lstage = scratch.lstage;
-      SparseRow& ustage = scratch.ustage;
-      lstage.clear();
-      ustage.clear();
-      real diag = 0.0;
-      for (const idx c : w.touched()) {
-        const real v = w.value(c);
-        if (c == i) {
-          diag = v;
-        } else if (c < i && !dist.interface[c]) {
-          if (v != 0.0) lstage.push(c, v);
-        } else {
-          // Interface columns and larger interior columns are all U-side:
-          // every interface column is numbered after every interior one.
-          ustage.push(c, v);
-        }
-      }
-      const std::size_t staged = lstage.size() + ustage.size();
-      select_largest(lstage, opts.m, tau_i, -1, scratch.kept);
-      select_largest(ustage, opts.m, tau_i, -1, scratch.kept);
-      tally.dropped += staged - lstage.size() - ustage.size();
-      diag = safeguard_pivot(i, diag,
-                             opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[i] : 0.0,
-                             tally.guarded);
-      state.udiag[i] = diag;
-      state.lrows[i].cols = lstage.cols;  // exact-sized survivor copies
-      state.lrows[i].vals = lstage.vals;
-      emit_urow(state.urows[i], i, diag, ustage);
-      state.factored[i] = true;
-      w.clear();
-    }
-    ctx.charge_flops(flops);
-    lane.pivots_guarded += tally.guarded;
-    counters.commit(r, tally);
-  }, "pilut/interior");
-  stats.time_interior = machine.modeled_time();
+  sched.level_start.push_back(next_num);
+  result.stats.interface_nodes = n - next_num;
 }
 
-void run_initial_reduction(sim::Machine& machine, const DistCsr& dist,
-                           const PilutOptions& opts, const RealVec& norms,
-                           idx tail_cap, FactorState& state,
-                           std::vector<Lane>& lanes) {
-  const Csr& a = dist.a;
-  const FactorCounters counters = factor_counters(machine);
-  sim::ScopedPhase phase(machine, "factor/interface/form_reduced");
-  machine.step([&](sim::RankContext& ctx) {
-    const int r = ctx.rank();
-    Lane& lane = lanes[static_cast<std::size_t>(ctx.lane())];
-    WorkingRow& w = lane.w;
-    FactorScratch& scratch = lane.scratch;
-    std::uint64_t flops = 0, copied = 0;
-    FillDropTally tally;
-    for (const idx i : dist.owned_rows[r]) {
-      if (!dist.interface[i]) continue;
-      const real tau_i = opts.tau * norms[i];
-      const auto eliminatable = [&](idx c) { return !dist.interface[c]; };
-      ColumnHeap heap = make_column_heap(scratch.heap);
-      for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-        const idx c = a.col_idx[k];
-        w.insert(c, a.values[k]);
-        if (eliminatable(c)) heap.push(c);  // interior => local => factored
+void FactorRun::retire(std::vector<std::uint8_t>& done) {
+  for (IdxVec& rows : active) {
+    std::size_t kept = 0;
+    for (const idx v : rows) {
+      if (done[v]) {
+        done[v] = 0;
+      } else {
+        rows[kept++] = v;
       }
-      if (!w.present(i)) w.insert(i, 0.0);  // keep the diagonal structurally
-      flops += eliminate_cascading(w, state, tau_i, heap, eliminatable, tally);
-
-      SparseRow& lstage = scratch.lstage;
-      lstage.clear();
-      SparseRow& tail = state.tails[i];
-      for (const idx c : w.touched()) {
-        const real v = w.value(c);
-        if (!dist.interface[c]) {
-          if (v != 0.0) lstage.push(c, v);  // factored (interior) columns -> L
-        } else {
-          tail.push(c, v);  // unfactored interface columns (incl. diagonal)
-        }
-      }
-      const std::size_t l_before = lstage.size();
-      select_largest(lstage, opts.m, tau_i, -1, scratch.kept);  // 3rd dropping rule (L side)
-      tally.dropped += l_before - lstage.size();
-      state.lrows[i].cols = lstage.cols;
-      state.lrows[i].vals = lstage.vals;
-      if (tail_cap > 0) {
-        const std::size_t t_before = tail.size();
-        select_largest(tail, tail_cap, 0.0, /*always_keep=*/i, scratch.kept);  // ILUT* cap
-        tally.dropped += t_before - tail.size();
-      }
-      lane.max_reduced_row =
-          std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
-      copied += tail.size() * (sizeof(idx) + sizeof(real));
-      w.clear();
     }
-    ctx.charge_flops(flops);
-    ctx.charge_mem(copied);
-    counters.commit(r, tally);
-  }, "pilut/form_reduced");
+    remaining -= static_cast<long long>(rows.size() - kept);
+    rows.resize(kept);
+  }
 }
 
-void finish_stats(const sim::Machine& machine, PilutStats& stats) {
+PilutResult FactorRun::finish(std::string_view end_site, const IdxVec& host) {
+  const idx n = dist.n();
+  PTILU_CHECK(next_num == n, "numbering did not cover all rows");
+  machine.check_quiescent(end_site);
+
+  PilutStats& stats = result.stats;
+  for (Lane& lane : lanes) {
+    stats.pivots_guarded += lane.pivots_guarded;
+    stats.max_reduced_row = std::max(stats.max_reduced_row, lane.max_reduced_row);
+  }
   stats.time_interface = machine.modeled_time() - stats.time_interior;
   stats.time_total = machine.modeled_time();
   const auto totals = machine.total_counters();
@@ -211,6 +114,127 @@ void finish_stats(const sim::Machine& machine, PilutStats& stats) {
   stats.bytes_sent = totals.bytes_sent;
   stats.messages = totals.messages_sent;
   stats.supersteps = machine.supersteps();
+
+  PilutSchedule& sched = result.schedule;
+  sched.orig_of = invert_permutation(sched.newnum);
+  sched.owner_new.resize(n);
+  for (idx i = 0; i < n; ++i) sched.owner_new[sched.newnum[i]] = host[i];
+  assemble_factors(state.lrows, state.urows, sched.newnum, result.factors);
+  result.factors.validate();
+  sched.validate();
+  return std::move(result);
+}
+
+UrowExchange::UrowExchange(FactorRun& run) : run_(run) {
+  lanes_.resize(run.lanes.size());
+  for (LaneScratch& ls : lanes_) {
+    ls.requests.resize(static_cast<std::size_t>(run.dist.nranks));
+    ls.slot.assign(static_cast<std::size_t>(run.dist.n()), -1);
+  }
+}
+
+UrowExchange::Rows UrowExchange::receive(sim::RankContext& ctx) {
+  LaneScratch& ls = scratch(ctx);
+  // Release this lane's previous bindings, then reassemble this rank's
+  // received rows into pooled slots.
+  for (const idx row : ls.bound) ls.slot[row] = -1;
+  ls.bound.clear();
+  ls.cols.clear();
+  ls.vals.clear();
+  // Called first in the caller's phased step. ptilu-lint: allow(spmd-phase-coverage)
+  for (const sim::MessageView& msg : ctx.recv_all()) {
+    if (msg.tag == kTagCols) {
+      sim::decode_indices_append(msg, ls.cols);
+    } else {
+      PTILU_CHECK(msg.tag == kTagVals, "unexpected tag " << msg.tag << " in U-row reply");
+      sim::decode_reals_append(msg, ls.vals);
+    }
+  }
+  std::size_t vpos = 0;
+  for (std::size_t p = 0; p < ls.cols.size();) {
+    const idx row = ls.cols[p++];
+    const idx len = ls.cols[p++];
+    const idx slot = static_cast<idx>(ls.bound.size());
+    if (static_cast<std::size_t>(slot) == ls.pool.size()) ls.pool.emplace_back();
+    SparseRow& urow = ls.pool[slot];
+    urow.cols.assign(ls.cols.begin() + p, ls.cols.begin() + p + len);
+    urow.vals.assign(ls.vals.begin() + vpos, ls.vals.begin() + vpos + len);
+    ls.slot[row] = slot;
+    ls.bound.push_back(row);
+    p += len;
+    vpos += len;
+  }
+  return Rows{run_, ctx.rank(), ls};
+}
+
+void run_interior_phase(FactorRun& run, const PilutOptions& opts) {
+  const DistCsr& dist = run.dist;
+  const Csr& a = dist.a;
+  sim::ScopedPhase phase(run.machine, "factor/interior");
+  run.machine.step([&](sim::RankContext& ctx) {
+    Lane& lane = run.lane(ctx);
+    std::uint64_t flops = 0;
+    FillDropTally tally;
+    for (const idx i : dist.owned_rows[ctx.rank()]) {
+      if (dist.interface[i]) continue;
+      // Interface columns and larger interior columns are all U-side:
+      // every interface column is numbered after every interior one.
+      const auto eliminatable = [&](idx c) { return c < i && !dist.interface[c]; };
+      ColumnHeap heap = make_column_heap(lane.scratch.heap);
+      for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+        const idx c = a.col_idx[k];
+        lane.w.insert(c, a.values[k]);
+        if (eliminatable(c)) heap.push(c);  // columns are local by definition
+      }
+      flops += eliminate_cascading(lane.w, run.state, opts.tau * run.norms[i], heap,
+                                   eliminatable, tally);
+      finish_pivot_row(run, lane, i, opts, eliminatable, tally);
+    }
+    ctx.charge_flops(flops);
+    run.commit(ctx, tally);
+  }, "pilut/interior");
+  run.result.stats.time_interior = run.machine.modeled_time();
+}
+
+void run_initial_reduction(FactorRun& run, const PilutOptions& opts) {
+  const DistCsr& dist = run.dist;
+  const Csr& a = dist.a;
+  run.state.tails.resize(static_cast<std::size_t>(dist.n()));
+  const auto factored = [&](idx c) { return !dist.interface[c]; };
+  sim::ScopedPhase phase(run.machine, "factor/interface/form_reduced");
+  run.machine.step([&](sim::RankContext& ctx) {
+    Lane& lane = run.lane(ctx);
+    WorkingRow& w = lane.w;
+    std::uint64_t flops = 0, copied = 0;
+    FillDropTally tally;
+    for (const idx i : dist.owned_rows[ctx.rank()]) {
+      if (!dist.interface[i]) continue;
+      const real tau_i = opts.tau * run.norms[i];
+      ColumnHeap heap = make_column_heap(lane.scratch.heap);
+      for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+        const idx c = a.col_idx[k];
+        w.insert(c, a.values[k]);
+        if (factored(c)) heap.push(c);  // interior => local => factored
+      }
+      if (!w.present(i)) w.insert(i, 0.0);  // keep the diagonal structurally
+      flops += eliminate_cascading(w, run.state, tau_i, heap, factored, tally);
+
+      // Factored (interior) columns -> L, under the 3rd dropping rule; the
+      // unfactored interface columns (incl. the diagonal) form the tail.
+      SparseRow& lstage = lane.scratch.lstage;
+      lstage.clear();
+      for (const idx c : w.touched()) {
+        if (factored(c) && w.value(c) != 0.0) lstage.push(c, w.value(c));
+      }
+      keep_largest(lstage, opts.m, tau_i, -1, lane.scratch, tally);
+      run.state.lrows[i].cols = lstage.cols;
+      run.state.lrows[i].vals = lstage.vals;
+      copied += rebuild_tail(run, lane, i, opts, factored, tally);
+    }
+    ctx.charge_flops(flops);
+    ctx.charge_mem(copied);
+    run.commit(ctx, tally);
+  }, "pilut/form_reduced");
 }
 
 }  // namespace ptilu::pilut_detail

@@ -12,6 +12,7 @@ namespace ptilu {
 
 namespace {
 
+using pilut_detail::FactorRun;
 using pilut_detail::FactorState;
 using pilut_detail::Lane;
 
@@ -24,60 +25,34 @@ std::uint64_t row_bytes(const SparseRow& tail, const SparseRow& lpart) {
 
 PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
                                 const PilutOptions& opts, const NestedOptions& nested) {
-  PTILU_CHECK(machine.nranks() == dist.nranks, "machine/partition rank mismatch");
   PTILU_CHECK(opts.m >= 0 && opts.tau >= 0.0, "invalid PILUT options");
   PTILU_CHECK(nested.max_depth >= 0 && nested.sequential_cutoff >= 1,
               "invalid nested options");
-  machine.reset();
-
-  const Csr& a = dist.a;
-  const idx n = a.n_rows;
+  FactorRun run(machine, dist);
+  const idx n = dist.n();
   const int nranks = dist.nranks;
-  const RealVec norms = row_norms(a, 2);
-  const idx tail_cap = opts.cap_k > 0 ? opts.cap_k * opts.m : 0;
+  PilutStats& stats = run.result.stats;
+  PilutSchedule& sched = run.result.schedule;
+  FactorState& state = run.state;
+  std::vector<IdxVec>& active = run.active;
 
-  PilutResult result;
-  PilutStats& stats = result.stats;
-  PilutSchedule& sched = result.schedule;
-  sched.nranks = nranks;
-  sched.newnum.assign(n, -1);
-
-  FactorState state(n);
-  // Per-lane scratch: one lane sequentially, one per rank when threaded
-  // (see pilut_detail::Lane).
-  std::vector<Lane> lanes = pilut_detail::make_lanes(machine, n);
-  pilut_detail::run_interior_phase(machine, dist, opts, norms, state, lanes,
-                                  sched, stats);
-  pilut_detail::run_initial_reduction(machine, dist, opts, norms, tail_cap, state,
-                                      lanes);
-  idx next_num = sched.n_interior;
-  sched.level_start.push_back(sched.n_interior);
+  pilut_detail::run_interior_phase(run, opts);
+  pilut_detail::run_initial_reduction(run, opts);
 
   // Current host of each unfactored interface row (migrations update this;
   // the triangular-solve schedule uses the host at factoring time).
   IdxVec host = dist.owner;
-  std::vector<IdxVec> active(nranks);
-  long long total_active = 0;
-  for (int r = 0; r < nranks; ++r) {
-    for (const idx v : dist.owned_rows[r]) {
-      if (dist.interface[v]) active[r].push_back(v);
-    }
-    total_active += static_cast<long long>(active[r].size());
-  }
-
   std::vector<std::uint8_t> stage_interior(n, 0);
   IdxVec compact_of(n, -1);
 
   // Factor the rows marked stage_interior on each host (sequential within a
   // host, concurrent across hosts), then reduce the remaining rows against
   // them. Used by both the partitioned stages and the sequential tail.
-  const pilut_detail::FactorCounters counters = pilut_detail::factor_counters(machine);
   const auto run_stage = [&]() {
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      Lane& lane = lanes[static_cast<std::size_t>(ctx.lane())];
+      Lane& lane = run.lane(ctx);
       WorkingRow& w = lane.w;
-      FactorScratch& scratch = lane.scratch;
       std::uint64_t flops = 0, copied = 0;
       pilut_detail::FillDropTally tally;
       const auto by_newnum = [&](idx x, idx y) {
@@ -89,67 +64,32 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       // number (they may eliminate each other — a sequential local block).
       for (const idx i : active[r]) {
         if (!stage_interior[i]) continue;
-        const real tau_i = opts.tau * norms[i];
         SparseRow& tail = state.tails[i];
         const idx my_num = sched.newnum[i];
         const auto eliminatable = [&](idx c) {
           return stage_interior[c] && sched.newnum[c] < my_num;
         };
-        NewnumHeap heap(scratch.heap, by_newnum);
+        NewnumHeap heap(lane.scratch.heap, by_newnum);
         for (std::size_t p = 0; p < tail.size(); ++p) {
           w.insert(tail.cols[p], tail.vals[p]);
           if (eliminatable(tail.cols[p])) heap.push(tail.cols[p]);
         }
-        flops += pilut_detail::eliminate_cascading(w, state, tau_i, heap, eliminatable,
-                                                   tally);
-
-        SparseRow& lstage = scratch.lstage;
-        SparseRow& ustage = scratch.ustage;
-        lstage.clear();
-        ustage.clear();
-        real diag = 0.0;
-        for (const idx c : w.touched()) {
-          const real v = w.value(c);
-          if (c == i) {
-            diag = v;
-          } else if (eliminatable(c)) {
-            if (v != 0.0) lstage.push(c, v);  // multiplier -> L
-          } else {
-            ustage.push(c, v);  // factored later (larger new number)
-          }
-        }
-        const std::size_t staged = lstage.size() + ustage.size();
-        select_largest(lstage, opts.m, tau_i, -1, scratch.kept);
-        select_largest(ustage, opts.m, tau_i, -1, scratch.kept);
-        tally.dropped += staged - lstage.size() - ustage.size();
-        diag = safeguard_pivot(i, diag,
-                               opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[i] : 0.0,
-                               tally.guarded);
-        state.udiag[i] = diag;
-        state.lrows[i].cols = lstage.cols;
-        state.lrows[i].vals = lstage.vals;
-        pilut_detail::emit_urow(state.urows[i], i, diag, ustage);
-        state.factored[i] = true;
+        flops += pilut_detail::eliminate_cascading(w, state, opts.tau * run.norms[i],
+                                                   heap, eliminatable, tally);
+        // Multipliers -> L; larger new numbers are factored later -> U.
+        pilut_detail::finish_pivot_row(run, lane, i, opts, eliminatable, tally);
         tail.clear();
-        w.clear();
       }
 
       // Pass 2: reduce the host's remaining rows against the freshly
       // factored block (all needed U rows are local to this host).
+      const auto eliminatable = [&](idx c) { return stage_interior[c] != 0; };
       for (const idx i : active[r]) {
         if (stage_interior[i]) continue;
-        SparseRow& tail = state.tails[i];
-        bool touches_stage = false;
-        for (const idx c : tail.cols) {
-          if (stage_interior[c]) {
-            touches_stage = true;
-            break;
-          }
-        }
-        if (!touches_stage) continue;
-        const real tau_i = opts.tau * norms[i];
-        const auto eliminatable = [&](idx c) { return stage_interior[c] != 0; };
-        NewnumHeap heap(scratch.heap, by_newnum);
+        const SparseRow& tail = state.tails[i];
+        if (std::none_of(tail.cols.begin(), tail.cols.end(), eliminatable)) continue;
+        const real tau_i = opts.tau * run.norms[i];
+        NewnumHeap heap(lane.scratch.heap, by_newnum);
         for (std::size_t p = 0; p < tail.size(); ++p) {
           w.insert(tail.cols[p], tail.vals[p]);
           if (eliminatable(tail.cols[p])) heap.push(tail.cols[p]);
@@ -161,34 +101,20 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         for (const idx c : w.touched()) {
           if (eliminatable(c) && w.value(c) != 0.0) lrow.push(c, w.value(c));
         }
-        const std::size_t l_before = lrow.size();
-        select_largest(lrow, opts.m, tau_i, -1, scratch.kept);  // 3rd dropping rule
-        tally.dropped += l_before - lrow.size();
-        tail.clear();
-        for (const idx c : w.touched()) {
-          if (!eliminatable(c)) tail.push(c, w.value(c));
-        }
-        if (tail_cap > 0) {
-          const std::size_t t_before = tail.size();
-          select_largest(tail, tail_cap, 0.0, i, scratch.kept);
-          tally.dropped += t_before - tail.size();
-        }
-        lane.max_reduced_row =
-            std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
-        copied += tail.size() * (sizeof(idx) + sizeof(real));
-        w.clear();
+        // 3rd dropping rule.
+        pilut_detail::keep_largest(lrow, opts.m, tau_i, -1, lane.scratch, tally);
+        copied += pilut_detail::rebuild_tail(run, lane, i, opts, eliminatable, tally);
       }
       ctx.charge_flops(flops);
       ctx.charge_mem(copied);
-      lane.pivots_guarded += tally.guarded;
-      counters.commit(r, tally);
+      run.commit(ctx, tally);
     }, "nested/stage");
   };
 
   int depth = 0;
   sim::ScopedPhase nested_phase(machine, "factor/nested");
-  while (total_active > 0) {
-    const bool sequential_tail = total_active <= nested.sequential_cutoff ||
+  while (run.remaining > 0) {
+    const bool sequential_tail = run.remaining <= nested.sequential_cutoff ||
                                  depth >= nested.max_depth || nranks == 1;
 
     if (sequential_tail) {
@@ -206,13 +132,11 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       std::sort(active[0].begin(), active[0].end());
       for (const idx v : active[0]) {
         stage_interior[v] = 1;
-        sched.newnum[v] = next_num++;
+        sched.newnum[v] = run.next_num++;
       }
       run_stage();
-      for (const idx v : active[0]) stage_interior[v] = 0;
-      active[0].clear();
-      total_active = 0;
-      sched.level_start.push_back(next_num);
+      run.retire(stage_interior);
+      sched.level_start.push_back(run.next_num);
       ++stats.levels;
       break;
     }
@@ -303,7 +227,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
     // --- Number the stage's sub-interior rows host-major and factor.
     for (int r = 0; r < nranks; ++r) {
       for (const idx v : active[r]) {
-        if (stage_interior[v]) sched.newnum[v] = next_num++;
+        if (stage_interior[v]) sched.newnum[v] = run.next_num++;
       }
     }
     {
@@ -317,36 +241,13 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
     }
 
     // --- Retire the factored rows.
-    for (int r = 0; r < nranks; ++r) {
-      IdxVec still;
-      for (const idx v : active[r]) {
-        if (stage_interior[v]) {
-          stage_interior[v] = 0;
-        } else {
-          still.push_back(v);
-        }
-      }
-      total_active -= static_cast<long long>(active[r].size() - still.size());
-      active[r] = std::move(still);
-    }
+    run.retire(stage_interior);
     for (const idx v : verts) compact_of[v] = -1;
-    sched.level_start.push_back(next_num);
+    sched.level_start.push_back(run.next_num);
     ++stats.levels;
     ++depth;
   }
-  if (sched.level_start.back() != n) sched.level_start.push_back(n);
-  PTILU_CHECK(next_num == n, "nested numbering did not cover all rows");
-  machine.check_quiescent("nested/end");
-
-  pilut_detail::merge_lane_stats(lanes, stats);
-  pilut_detail::finish_stats(machine, stats);
-  sched.orig_of = invert_permutation(sched.newnum);
-  sched.owner_new.resize(n);
-  for (idx i = 0; i < n; ++i) sched.owner_new[sched.newnum[i]] = host[i];
-  pilut_detail::assemble_factors(state.lrows, state.urows, sched.newnum, result.factors);
-  result.factors.validate();
-  sched.validate();
-  return result;
+  return run.finish("nested/end", host);
 }
 
 }  // namespace ptilu

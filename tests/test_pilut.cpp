@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <sstream>
+#include <string>
 
 #include "ptilu/dist/distcsr.hpp"
 #include "ptilu/graph/graph.hpp"
 #include "ptilu/ilu/ilut.hpp"
 #include "ptilu/ilu/trisolve.hpp"
 #include "ptilu/krylov/gmres.hpp"
+#include "ptilu/pilut/pilu0.hpp"
 #include "ptilu/pilut/pilut.hpp"
+#include "ptilu/pilut/pilut_nested.hpp"
 #include "ptilu/pilut/trisolve_dist.hpp"
 #include "ptilu/sparse/dense.hpp"
 #include "ptilu/sparse/vector_ops.hpp"
@@ -40,6 +45,40 @@ TEST(Pilut, SingleRankMatchesSerialIlutExactly) {
   // Same arithmetic must also mean the same flop ledger, so the simulated
   // Mflop rates are comparable against the serial baseline.
   EXPECT_EQ(result.stats.flops, serial_stats.flops);
+}
+
+TEST(Pilut, FamilyNamesNonFiniteEntry) {
+  // Row 300 of G0 24^2 is an interface row at p=4. Without the shared
+  // check, a NaN there left pilut_factor returning finite factors (row 300's
+  // L row emptied) while the other two drivers blamed a "zero or subnormal
+  // pivot", and an Inf passed all three drivers unreported.
+  const Csr clean = workloads::convection_diffusion_2d(24, 24, 10.0, 20.0);
+  const nnz_t slot = clean.row_ptr[300] + 1;
+  ASSERT_EQ(clean.col_idx[slot], 299);
+  using Driver = std::function<void(sim::Machine&, const DistCsr&)>;
+  const std::vector<std::pair<const char*, Driver>> drivers = {
+      {"pilut", [](sim::Machine& m, const DistCsr& d) { (void)pilut_factor(m, d); }},
+      {"pilu0", [](sim::Machine& m, const DistCsr& d) { (void)pilu0_factor(m, d); }},
+      {"nested",
+       [](sim::Machine& m, const DistCsr& d) { (void)pilut_factor_nested(m, d, {}); }}};
+  for (const real bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Csr a = clean;
+    a.values[slot] = bad;
+    const DistCsr dist = make_dist(a, 4);
+    ASSERT_TRUE(dist.interface[300]);
+    std::ostringstream expected;
+    expected << "row 300 of A has a non-finite entry (" << bad << ") in column 299";
+    for (const auto& [name, factor] : drivers) {
+      sim::Machine machine(4);
+      std::string what = "no error";
+      try {
+        factor(machine, dist);
+      } catch (const Error& e) {
+        what = e.what();
+      }
+      EXPECT_NE(what.find(expected.str()), std::string::npos) << name << ": " << what;
+    }
+  }
 }
 
 TEST(Pilut, MatchesSerialIlutOnPermutedMatrix) {
