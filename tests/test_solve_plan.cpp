@@ -17,6 +17,8 @@
 // recorded before the drivers were rebuilt from shared pieces.
 // ModeledChargePins.FactorNestedStages adds a nested run large enough to
 // pass through partitioned stages, recorded from the same code.
+// ModeledChargePins.FactorPivotGuard pins pilut_factor and pilu0_factor on
+// a matrix whose interface pivots need the safeguard (pivots_guarded=1).
 //
 // StalePlan checks that a halo or solver built for a different matrix,
 // factor or rank count is rejected up front rather than read through.
@@ -796,6 +798,107 @@ TEST(ModeledChargePins, FactorNestedStages) {
       "factor/fill=25475",
       "factor/dropped=11321",
       "factor/pivots_guarded=0"}));
+}
+
+TEST(ModeledChargePins, FactorPivotGuard) {
+  // The 4x4, p=2 matrix of Pilut.PivotGuardWorksThroughPipeline: its
+  // interface rows reach a zero pivot, so pilut and pilu0 run the pivot
+  // safeguard, which the digests above never do (pivots_guarded=0).
+  CooBuilder b(4, 4);
+  b.add(0, 1, 1.0);
+  b.add(1, 0, 1.0);
+  b.add(1, 1, 2.0);
+  b.add(2, 3, 1.0);
+  b.add(3, 2, 1.0);
+  b.add(2, 2, 2.0);
+  b.add(0, 3, 0.5);
+  b.add(3, 0, 0.5);
+  Partition p;
+  p.nparts = 2;
+  p.part = {0, 0, 1, 1};
+  const DistCsr dist = DistCsr::create(b.to_csr(), p);
+  const Digest pilut = factor_digest(dist, [&](sim::Machine& m) {
+    return pilut_factor(m, dist, {.m = 4, .tau = 0.0, .pivot_rel = 1e-10});
+  });
+  const Digest pilu0 = factor_digest(dist, [&](sim::Machine& m) {
+    return pilu0_factor(m, dist, {.pivot_rel = 1e-10});
+  });
+  EXPECT_EQ(pilut, (Digest{
+      "modeled=0x1.bef7152d8b3fp-15",
+      "supersteps=20",
+      "messages=11",
+      "bytes=84",
+      "flops=20",
+      "out=c564b13220b1b633",
+      "factor/interior",
+      "  elapsed=0x1.0c6f7a0b5ed8dp-19 busy=0x1.0c6f7a0b5ed8dp-18",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/interface/form_reduced",
+      "  elapsed=0x1.2ca5d05ea7ab3p-19 busy=0x1.2ca5d05ea7ab3p-18",
+      "  flops=6 sent=0 recv=0 msgs=0",
+      "factor/interface/setup",
+      "  elapsed=0x1.53cffc5049cedp-17 busy=0x1.53cffc5049cecp-16",
+      "  flops=0 sent=16 recv=16 msgs=2",
+      "factor/interface/mis/setup",
+      "  elapsed=0x1.11cdddc3eafbcp-19 busy=0x1.11cdddc3eafbcp-18",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/interface/mis/rounds",
+      "  elapsed=0x1.14f1e2578ee26p-17 busy=0x1.14f1e2578ee26p-16",
+      "  flops=8 sent=8 recv=8 msgs=2",
+      "factor/interface/mis/drain",
+      "  elapsed=0x1.0c6f7a0b5ed9p-19 busy=0x1.0c6f7a0b5ed9p-18",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/interface/number",
+      "  elapsed=0x1.11d4bcfbe172p-18 busy=0x1.11d4bcfbe172p-17",
+      "  flops=0 sent=24 recv=0 msgs=4",
+      "factor/interface/factor",
+      "  elapsed=0x1.147d0fa0310d8p-18 busy=0x1.147d0fa0310d8p-17",
+      "  flops=3 sent=0 recv=0 msgs=0",
+      "factor/interface/exchange",
+      "  elapsed=0x1.dddaf9fca9e0ep-17 busy=0x1.dddaf9fca9e0ep-16",
+      "  flops=0 sent=36 recv=36 msgs=3",
+      "factor/interface/reduce",
+      "  elapsed=0x1.1883da6a9a28p-18 busy=0x1.1883da6a9a28p-17",
+      "  flops=3 sent=0 recv=0 msgs=0",
+      "levels=2 max_reduced_row=2 pivots_guarded=1",
+      "factor/fill=0",
+      "factor/dropped=0",
+      "factor/pivots_guarded=1"}));
+  EXPECT_EQ(pilu0, (Digest{
+      "modeled=0x1.78c6a854fa2bap-15",
+      "supersteps=17",
+      "messages=9",
+      "bytes=68",
+      "flops=14",
+      "out=c564b13220b1b633",
+      "factor/interior",
+      "  elapsed=0x1.0c6f7a0b5ed8dp-19 busy=0x1.0c6f7a0b5ed8dp-18",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/color/setup",
+      "  elapsed=0x1.11cdddc3eafbfp-19 busy=0x1.11cdddc3eafbfp-18",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/color/mis/setup",
+      "  elapsed=0x1.0dc712f981e1ap-18 busy=0x1.0dc712f981e1ap-17",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/color/mis/rounds",
+      "  elapsed=0x1.555e8efe2086fp-17 busy=0x1.555e8efe2086fp-16",
+      "  flops=5 sent=8 recv=8 msgs=2",
+      "factor/color/mis/drain",
+      "  elapsed=0x1.0c6f7a0b5ed8ep-18 busy=0x1.0c6f7a0b5ed8ep-17",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/number",
+      "  elapsed=0x1.11d4bcfbe172p-18 busy=0x1.11d4bcfbe172p-17",
+      "  flops=0 sent=24 recv=0 msgs=4",
+      "factor/interface/exchange",
+      "  elapsed=0x1.dddaf9fca9e1p-17 busy=0x1.dddaf9fca9e1p-16",
+      "  flops=0 sent=36 recv=36 msgs=3",
+      "factor/interface/factor",
+      "  elapsed=0x1.24983ac9d5764p-18 busy=0x1.24983ac9d5764p-17",
+      "  flops=9 sent=0 recv=0 msgs=0",
+      "levels=2 max_reduced_row=0 pivots_guarded=1",
+      "factor/fill=0",
+      "factor/dropped=0",
+      "factor/pivots_guarded=1"}));
 }
 
 /// The text of the Error `fn` throws, or "" when it does not throw.
