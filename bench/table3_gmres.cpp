@@ -14,7 +14,6 @@
 // inner GMRES iteration); with --report-dir, the run reports embed each
 // configuration's initial/final residual under run.configurations.
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 
@@ -23,17 +22,11 @@
 #include "ptilu/krylov/gmres_dist.hpp"
 #include "ptilu/pilut/trisolve_dist.hpp"
 #include "ptilu/sim/machine.hpp"
+#include "ptilu/support/report.hpp"
 #include "ptilu/support/timer.hpp"
 
 namespace ptilu::bench {
 namespace {
-
-/// Full-precision decimal form for the residual CSV and report JSON.
-std::string format_real(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Modeled cost of the per-iteration dense vector work of GMRES(restart):
 /// on average (restart+1)/2 + 1 dots (each 2n/p flops + a log2(p) allreduce)
@@ -93,7 +86,7 @@ void run_matrix(const TestMatrix& matrix, int nranks,
     if (residuals_csv != nullptr) {
       for (std::size_t it = 0; it < g.residual_history.size(); ++it) {
         *residuals_csv << matrix.name << ",\"" << label << "\"," << restart << ','
-                       << it + 1 << ',' << format_real(g.residual_history[it])
+                       << it + 1 << ',' << report::number(g.residual_history[it])
                        << '\n';
       }
     }
@@ -103,8 +96,8 @@ void run_matrix(const TestMatrix& matrix, int nranks,
                     "\", \"restart\": " + std::to_string(restart) +
                     ", \"nmv\": " + std::to_string(g.matvecs) +
                     ", \"converged\": " + (g.converged ? "true" : "false") +
-                    ", \"initial_residual\": " + format_real(g.initial_residual) +
-                    ", \"final_residual\": " + format_real(g.final_residual) + "}";
+                    ", \"initial_residual\": " + report::number(g.initial_residual) +
+                    ", \"final_residual\": " + report::number(g.final_residual) + "}";
   };
 
   for (const idx cap_k : {idx{0}, star_k}) {

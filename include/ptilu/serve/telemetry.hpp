@@ -44,8 +44,10 @@
 // exactly as FactorCache mirrors "serve/cache/*".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -247,7 +249,16 @@ struct LaneRollup {
   std::vector<double> busy_s;
   std::vector<double> idle_s;
   std::vector<std::uint64_t> elections;  ///< straggler wins per lane
-  double imbalance = 1.0;                ///< max busy / mean busy
+  double imbalance = 0.0;                ///< report::busy_imbalance(busy_s)
+
+  /// Elect the straggler of one round in which lane c costs cost[c]
+  /// (cost.size() <= busy_s.size()): the first argmax wins, its cost
+  /// joins elapsed_s and every lane's own cost joins its busy_s.
+  /// Returns the winning lane.
+  std::size_t elect(std::span<const double> cost);
+  /// Derive idle_s = elapsed_s - busy_s and the imbalance once every
+  /// round is elected.
+  void finish();
 };
 
 struct ApplyAttribution {
@@ -274,19 +285,15 @@ struct StreamRound {
   int straggler = 0;       ///< first-argmax of cost_s
 };
 
-/// Stream-level rollup: same identities as LaneRollup (busy ≤ elapsed,
-/// idle derived exactly), with real variance — per-solve GMRES matvec
-/// counts differ, so elections are spread across streams.
+/// Stream-level attribution: the rounds and their LaneRollup over streams
+/// (busy ≤ elapsed, idle derived exactly), with real variance — per-solve
+/// GMRES matvec counts differ, so elections are spread across streams.
 struct StreamAttribution {
   int streams = 0;
   int solves = 0;
   double step_s = 0.0;  ///< modeled seconds per preconditioned GMRES iteration
   std::vector<StreamRound> rounds;
-  double elapsed_s = 0.0;
-  std::vector<double> busy_s;
-  std::vector<double> idle_s;
-  std::vector<std::uint64_t> elections;
-  double imbalance = 1.0;
+  LaneRollup rollup;  ///< lane s = stream s
 };
 
 /// Attribute a stream sweep from its per-solve matvec counts: solve q

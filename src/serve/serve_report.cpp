@@ -1,44 +1,20 @@
 #include "ptilu/serve/serve_report.hpp"
 
-#include <cstdio>
 #include <fstream>
 
 #include "ptilu/support/check.hpp"
+#include "ptilu/support/report.hpp"
 
 namespace ptilu::serve {
 
 namespace {
 
-void append_g(std::string& out, double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out += buffer;
-}
+using report::append_hex16;
+using report::append_int_array;
+using report::append_number;
+using report::append_real_array;
 
-void append_hex16(std::string& out, std::uint64_t v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(v));
-  out += buffer;
-}
-
-void append_real_array(std::string& out, const std::vector<double>& values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    append_g(out, values[i]);
-  }
-  out += ']';
-}
-
-template <typename Int>
-void append_int_array(std::string& out, const std::vector<Int>& values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += std::to_string(values[i]);
-  }
-  out += ']';
-}
+constexpr std::string_view kSep = ",";  // the serve report's array separator
 
 void append_histogram(std::string& out, const LatencyHistogram& hist) {
   out += "{\"total\":";
@@ -65,19 +41,17 @@ void append_histogram(std::string& out, const LatencyHistogram& hist) {
   out += "]}";
 }
 
-void append_rollup(std::string& out, double elapsed_s, const std::vector<double>& busy_s,
-                   const std::vector<double>& idle_s,
-                   const std::vector<std::uint64_t>& elections, double imbalance) {
+void append_rollup(std::string& out, const LaneRollup& rollup) {
   out += "{\"elapsed_s\":";
-  append_g(out, elapsed_s);
+  append_number(out, rollup.elapsed_s);
   out += ",\"busy_s\":";
-  append_real_array(out, busy_s);
+  append_real_array(out, rollup.busy_s, kSep);
   out += ",\"idle_s\":";
-  append_real_array(out, idle_s);
+  append_real_array(out, rollup.idle_s, kSep);
   out += ",\"elections\":";
-  append_int_array(out, elections);
+  append_int_array(out, rollup.elections, kSep);
   out += ",\"imbalance\":";
-  append_g(out, imbalance);
+  append_number(out, rollup.imbalance);
   out += '}';
 }
 
@@ -95,11 +69,11 @@ void append_apply_section(std::string& out, const ApplySection& section) {
   out += ",\"fingerprint\":\"";
   append_hex16(out, section.fingerprint);
   out += "\",\"costs\":{\"cache_resolve_s\":";
-  append_g(out, section.costs.cache_resolve_s);
+  append_number(out, section.costs.cache_resolve_s);
   out += ",\"stream_shared_s\":";
-  append_g(out, section.costs.stream_shared_s);
+  append_number(out, section.costs.stream_shared_s);
   out += ",\"column_solve_s\":";
-  append_g(out, section.costs.column_solve_s);
+  append_number(out, section.costs.column_solve_s);
   out += "},\"batches\":[";
   PTILU_CHECK(section.cache_hit.size() == section.attribution.batches.size(),
               "serve report: one cache-hit flag per batch required");
@@ -111,37 +85,35 @@ void append_apply_section(std::string& out, const ApplySection& section) {
     out += ",\"count\":";
     out += std::to_string(batch.count);
     out += ",\"start_s\":";
-    append_g(out, batch.start_s);
+    append_number(out, batch.start_s);
     out += ",\"arrival_gated\":";
     out += batch.arrival_gated ? "true" : "false";
     out += ",\"cache_hit\":";
     out += section.cache_hit[b] ? "true" : "false";
     out += ",\"arrival_s\":";
-    append_real_array(out, batch.arrival_s);
+    append_real_array(out, batch.arrival_s, kSep);
     out += ",\"queue_wait_s\":";
-    append_real_array(out, batch.queue_wait_s);
+    append_real_array(out, batch.queue_wait_s, kSep);
     out += ",\"column_solve_s\":";
-    append_real_array(out, batch.column_solve_s);
+    append_real_array(out, batch.column_solve_s, kSep);
     out += ",\"service_s\":";
-    append_g(out, batch.service_s);
+    append_number(out, batch.service_s);
     out += ",\"straggler_column\":";
     out += std::to_string(batch.straggler_column);
     out += '}';
   }
   out += "],\"lanes\":";
-  append_rollup(out, section.attribution.lanes.elapsed_s, section.attribution.lanes.busy_s,
-                section.attribution.lanes.idle_s, section.attribution.lanes.elections,
-                section.attribution.lanes.imbalance);
+  append_rollup(out, section.attribution.lanes);
   out += ",\"latency\":{\"hist\":";
   append_histogram(out, section.hist);
   out += ",\"hist_p50\":";
-  append_g(out, section.hist_p50);
+  append_number(out, section.hist_p50);
   out += ",\"hist_p99\":";
-  append_g(out, section.hist_p99);
+  append_number(out, section.hist_p99);
   out += ",\"exact_p50\":";
-  append_g(out, section.exact_p50);
+  append_number(out, section.exact_p50);
   out += ",\"exact_p99\":";
-  append_g(out, section.exact_p99);
+  append_number(out, section.exact_p99);
   out += "}}";
 }
 
@@ -151,24 +123,23 @@ void append_stream_section(std::string& out, const StreamAttribution& stream) {
   out += ",\"solves\":";
   out += std::to_string(stream.solves);
   out += ",\"step_s\":";
-  append_g(out, stream.step_s);
+  append_number(out, stream.step_s);
   out += ",\"rounds\":[";
   for (std::size_t r = 0; r < stream.rounds.size(); ++r) {
     const StreamRound& round = stream.rounds[r];
     if (r != 0) out += ',';
     out += "{\"matvecs\":";
-    append_int_array(out, round.matvecs);
+    append_int_array(out, round.matvecs, kSep);
     out += ",\"cost_s\":";
-    append_real_array(out, round.cost_s);
+    append_real_array(out, round.cost_s, kSep);
     out += ",\"elapsed_s\":";
-    append_g(out, round.elapsed_s);
+    append_number(out, round.elapsed_s);
     out += ",\"straggler\":";
     out += std::to_string(round.straggler);
     out += '}';
   }
   out += "],\"rollup\":";
-  append_rollup(out, stream.elapsed_s, stream.busy_s, stream.idle_s, stream.elections,
-                stream.imbalance);
+  append_rollup(out, stream.rollup);
   out += '}';
 }
 
@@ -194,7 +165,7 @@ std::string write_serve_report_json(const ServeReportV1& report) {
   out += ",\"bucket_count\":";
   out += std::to_string(LatencyHistogram::kBucketCount);
   out += ",\"relative_error_bound\":";
-  append_g(out, LatencyHistogram::relative_error_bound());
+  append_number(out, LatencyHistogram::relative_error_bound());
   out += ",\"shards\":";
   out += std::to_string(report.histogram_shards);
   out += "},\"apply\":[";

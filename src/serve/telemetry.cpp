@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -10,24 +9,9 @@
 
 #include "ptilu/sim/metrics.hpp"
 #include "ptilu/support/check.hpp"
+#include "ptilu/support/report.hpp"
 
 namespace ptilu::serve {
-
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out += buffer;
-}
-
-void append_hex16(std::string& out, std::uint64_t v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(v));
-  out += buffer;
-}
-
-}  // namespace
 
 // --- ServeTelemetry ---------------------------------------------------------
 
@@ -245,9 +229,9 @@ void EventLog::write_chrome_trace(std::ostream& os) const {
     out += "{\"name\":\"";
     out += name;
     out += "\",\"cat\":\"serve\",\"ph\":\"X\",\"ts\":";
-    append_num(out, start_s * 1e6);  // trace_event timestamps are in µs
+    report::append_number(out, start_s * 1e6);  // trace_event timestamps are in µs
     out += ",\"dur\":";
-    append_num(out, (end_s - start_s) * 1e6);
+    report::append_number(out, (end_s - start_s) * 1e6);
     out += ",\"pid\":";
     out += std::to_string(pid);
     out += ",\"tid\":";
@@ -262,7 +246,7 @@ void EventLog::write_chrome_trace(std::ostream& os) const {
     span("wait", pid, key.second, spans.enqueue, spans.admit, args);
     if (spans.wall >= 0.0) {
       args += ",\"wall_complete_s\":";
-      append_num(args, spans.wall);
+      report::append_number(args, spans.wall);
     }
     span("solve", pid, key.second, spans.admit, spans.complete, args);
   }
@@ -272,12 +256,12 @@ void EventLog::write_chrome_trace(std::ostream& os) const {
     args += ",\"cache_hit\":";
     args += spans.hit ? "true" : "false";
     args += ",\"fingerprint\":\"";
-    append_hex16(args, spans.fingerprint);
+    report::append_hex16(args, spans.fingerprint);
     args += "\"";
     span("resolve", pid, key.second, spans.resolve, spans.solve_start, args);
     if (spans.wall >= 0.0) {
       args += ",\"wall_complete_s\":";
-      append_num(args, spans.wall);
+      report::append_number(args, spans.wall);
     }
     span("solve batch", pid, key.second, spans.solve_start, spans.complete, args);
   }
@@ -294,6 +278,23 @@ void EventLog::write_chrome_trace_file(const std::string& path) const {
 }
 
 // --- Batch attribution ------------------------------------------------------
+
+std::size_t LaneRollup::elect(std::span<const double> cost) {
+  const std::size_t winner = report::first_argmax(cost);
+  elapsed_s += cost[winner];
+  for (std::size_t c = 0; c < cost.size(); ++c) busy_s[c] += cost[c];
+  ++elections[winner];
+  return winner;
+}
+
+void LaneRollup::finish() {
+  // busy <= elapsed bit-exactly (each round adds at most its winner's
+  // cost, and IEEE addition is monotone), so derived idle is never negative.
+  idle_s.resize(busy_s.size());
+  for (std::size_t c = 0; c < busy_s.size(); ++c) idle_s[c] = elapsed_s - busy_s[c];
+  imbalance = report::busy_imbalance(busy_s);
+}
+
 
 ApplyAttribution attribute_batches(const std::vector<Request>& schedule,
                                    const std::vector<Batch>& plan,
@@ -343,24 +344,9 @@ ApplyAttribution attribute_batches(const std::vector<Request>& schedule,
                 "attribute_batches: plan service times were not formed from this "
                 "cost model — decomposition would not re-sum");
 
-    // First-argmax straggler election, mirroring Metrics::on_sync: the
-    // lowest column index at the maximum wins.
-    int winner = 0;
-    double widest = attr.column_solve_s[0];
-    for (int c = 1; c < batch.count; ++c) {
-      if (attr.column_solve_s[static_cast<std::size_t>(c)] > widest) {
-        widest = attr.column_solve_s[static_cast<std::size_t>(c)];
-        winner = c;
-      }
-    }
-    attr.straggler_column = winner;
-
-    out.lanes.elapsed_s += widest;
-    for (int c = 0; c < batch.count; ++c) {
-      out.lanes.busy_s[static_cast<std::size_t>(c)] +=
-          attr.column_solve_s[static_cast<std::size_t>(c)];
-    }
-    ++out.lanes.elections[static_cast<std::size_t>(winner)];
+    // Lane c is column c; the lowest column at the maximum wins, as the
+    // first rank at the maximum clock wins a Metrics::on_sync barrier.
+    attr.straggler_column = static_cast<int>(out.lanes.elect(attr.column_solve_s));
 
     server_free = attr.start_s + attr.service_s;
     expected_first += batch.count;
@@ -370,19 +356,7 @@ ApplyAttribution attribute_batches(const std::vector<Request>& schedule,
   PTILU_CHECK(expected_first == static_cast<int>(schedule.size()),
               "attribute_batches: plan does not cover the schedule");
 
-  out.lanes.idle_s.resize(static_cast<std::size_t>(lanes));
-  double busy_sum = 0.0;
-  double busy_max = 0.0;
-  for (int lane = 0; lane < lanes; ++lane) {
-    const double busy = out.lanes.busy_s[static_cast<std::size_t>(lane)];
-    // busy ≤ elapsed bit-exactly (each batch adds ≤ its widest column, and
-    // IEEE addition is monotone), so derived idle is never negative.
-    out.lanes.idle_s[static_cast<std::size_t>(lane)] = out.lanes.elapsed_s - busy;
-    busy_sum += busy;
-    busy_max = std::max(busy_max, busy);
-  }
-  const double busy_mean = busy_sum / static_cast<double>(lanes);
-  out.lanes.imbalance = busy_mean > 0.0 ? busy_max / busy_mean : 1.0;
+  out.lanes.finish();
 
   if (telemetry != nullptr) {
     telemetry->count_requests(total_requests);
@@ -418,8 +392,8 @@ StreamAttribution attribute_streams(int streams,
   out.streams = streams;
   out.solves = static_cast<int>(matvecs_per_solve.size());
   out.step_s = step_s;
-  out.busy_s.assign(static_cast<std::size_t>(streams), 0.0);
-  out.elections.assign(static_cast<std::size_t>(streams), 0);
+  out.rollup.busy_s.assign(static_cast<std::size_t>(streams), 0.0);
+  out.rollup.elections.assign(static_cast<std::size_t>(streams), 0);
   const int rounds = (out.solves + streams - 1) / streams;
   out.rounds.reserve(static_cast<std::size_t>(rounds));
   for (int r = 0; r < rounds; ++r) {
@@ -435,34 +409,12 @@ StreamAttribution attribute_streams(int streams,
       round.cost_s[static_cast<std::size_t>(s)] =
           static_cast<double>(matvecs) * step_s;
     }
-    int winner = 0;
-    for (int s = 1; s < streams; ++s) {
-      if (round.cost_s[static_cast<std::size_t>(s)] >
-          round.cost_s[static_cast<std::size_t>(winner)]) {
-        winner = s;
-      }
-    }
-    round.straggler = winner;
-    round.elapsed_s = round.cost_s[static_cast<std::size_t>(winner)];
-    out.elapsed_s += round.elapsed_s;
-    for (int s = 0; s < streams; ++s) {
-      out.busy_s[static_cast<std::size_t>(s)] +=
-          round.cost_s[static_cast<std::size_t>(s)];
-    }
-    ++out.elections[static_cast<std::size_t>(winner)];
+    const std::size_t winner = out.rollup.elect(round.cost_s);
+    round.straggler = static_cast<int>(winner);
+    round.elapsed_s = round.cost_s[winner];
     out.rounds.push_back(std::move(round));
   }
-  out.idle_s.resize(static_cast<std::size_t>(streams));
-  double busy_sum = 0.0;
-  double busy_max = 0.0;
-  for (int s = 0; s < streams; ++s) {
-    const double busy = out.busy_s[static_cast<std::size_t>(s)];
-    out.idle_s[static_cast<std::size_t>(s)] = out.elapsed_s - busy;
-    busy_sum += busy;
-    busy_max = std::max(busy_max, busy);
-  }
-  const double busy_mean = busy_sum / static_cast<double>(streams);
-  out.imbalance = busy_mean > 0.0 ? busy_max / busy_mean : 1.0;
+  out.rollup.finish();
   if (telemetry != nullptr) telemetry->count_elections(static_cast<std::uint64_t>(rounds));
   return out;
 }

@@ -2,71 +2,24 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
 
 #include "ptilu/support/check.hpp"
+#include "ptilu/support/report.hpp"
 #include "ptilu/support/table.hpp"
 
 namespace ptilu::sim {
 
 namespace {
 
-/// Deterministic shortest-round-trip decimal form: %.17g reproduces the
-/// exact double on parse, so check_report.py can re-verify the busy+idle
-/// identity and the modeled_s sum bit-for-bit from the serialized values.
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
+using report::append_escaped;
+using report::append_int_array;
+using report::append_number;
+using report::append_real_array;
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-        break;
-    }
-  }
-}
-
-template <typename T>
-void append_int_array(std::string& out, const std::vector<T>& values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += std::to_string(values[i]);
-  }
-  out += ']';
-}
-
-void append_real_array(std::string& out, const std::vector<double>& values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    append_number(out, values[i]);
-  }
-  out += ']';
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = kFnvOffset;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
+constexpr std::string_view kSep = ", ";  // the run report's array separator
 
 }  // namespace
 
@@ -80,28 +33,11 @@ bool metrics_enabled_by_env() noexcept {
   return lower == "1" || lower == "on" || lower == "true" || lower == "yes";
 }
 
-double Metrics::PhaseMetrics::imbalance() const {
-  double max_busy = 0.0;
-  double sum_busy = 0.0;
-  for (const double b : busy) {
-    max_busy = std::max(max_busy, b);
-    sum_busy += b;
-  }
-  if (sum_busy <= 0.0) return 0.0;
-  const double mean = sum_busy / static_cast<double>(busy.size());
-  return max_busy / mean;
-}
+double Metrics::PhaseMetrics::imbalance() const { return report::busy_imbalance(busy); }
 
 int Metrics::PhaseMetrics::critical_rank() const {
-  int best = -1;
-  double best_s = 0.0;
-  for (std::size_t r = 0; r < critical_s.size(); ++r) {
-    if (critical_s[r] > best_s) {
-      best_s = critical_s[r];
-      best = static_cast<int>(r);
-    }
-  }
-  return best;
+  const std::size_t r = report::first_argmax(critical_s);
+  return r < critical_s.size() && critical_s[r] > 0.0 ? static_cast<int>(r) : -1;
 }
 
 Metrics::Metrics(int nranks) : nranks_(nranks) {
@@ -164,15 +100,9 @@ void Metrics::on_sync(const std::vector<double>& clocks, double horizon) {
   pm.supersteps += 1;
   // The straggler is the first rank at the pre-barrier maximum — the same
   // first-max rule the barrier's max_element used to place the horizon.
-  int straggler = 0;
-  for (int r = 1; r < nranks_; ++r) {
-    if (clocks[static_cast<std::size_t>(r)] >
-        clocks[static_cast<std::size_t>(straggler)]) {
-      straggler = r;
-    }
-  }
-  pm.critical_s[static_cast<std::size_t>(straggler)] += delta;
-  pm.critical_steps[static_cast<std::size_t>(straggler)] += 1;
+  const std::size_t straggler = report::first_argmax(clocks);
+  pm.critical_s[straggler] += delta;
+  pm.critical_steps[straggler] += 1;
   // Busy shares: each term is fl(clock_r - last_horizon) <= the elapsed
   // term fl(horizon - last_horizon) because clock_r <= horizon and rounded
   // subtraction/addition are monotone. Accumulated busy therefore never
@@ -220,14 +150,7 @@ void Metrics::flush_clocks(const std::vector<double>& clocks) {
   PhaseMetrics& pm = ensure_storage(last_active_);
   const double delta = max_clock - last_horizon_;
   pm.elapsed += delta;
-  int straggler = 0;
-  for (int r = 1; r < nranks_; ++r) {
-    if (clocks[static_cast<std::size_t>(r)] >
-        clocks[static_cast<std::size_t>(straggler)]) {
-      straggler = r;
-    }
-  }
-  pm.critical_s[static_cast<std::size_t>(straggler)] += delta;
+  pm.critical_s[report::first_argmax(clocks)] += delta;
   for (int r = 0; r < nranks_; ++r) {
     const double busy = clocks[static_cast<std::size_t>(r)] - last_horizon_;
     if (busy > 0.0) pm.busy[static_cast<std::size_t>(r)] += busy;
@@ -329,7 +252,7 @@ std::string Metrics::payload_json(const Machine& machine) {
     out += ", \"critical_rank\": ";
     out += std::to_string(pm.critical_rank());
     out += ",\n     \"busy_s\": ";
-    append_real_array(out, pm.busy);
+    append_real_array(out, pm.busy, kSep);
     out += ",\n     \"idle_s\": [";
     for (std::size_t r = 0; r < pm.busy.size(); ++r) {
       if (r != 0) out += ", ";
@@ -338,9 +261,9 @@ std::string Metrics::payload_json(const Machine& machine) {
       append_number(out, pm.elapsed - pm.busy[r]);
     }
     out += "],\n     \"critical_s\": ";
-    append_real_array(out, pm.critical_s);
+    append_real_array(out, pm.critical_s, kSep);
     out += ",\n     \"critical_steps\": ";
-    append_int_array(out, pm.critical_steps);
+    append_int_array(out, pm.critical_steps, kSep);
     // v2: collectives charge every rank identically, so these are scalars
     // (the uniform per-rank value), not nranks-long arrays.
     out += ",\n     \"collective_messages\": ";
@@ -395,7 +318,7 @@ std::string Metrics::payload_json(const Machine& machine) {
     out += "    {\"name\": \"";
     append_escaped(out, counter_names_[id]);
     out += "\", \"per_rank\": ";
-    append_int_array(out, counter_values_[id]);
+    append_int_array(out, counter_values_[id], kSep);
     out += ", \"total\": ";
     std::uint64_t total = 0;
     for (const std::uint64_t v : counter_values_[id]) total += v;
@@ -423,13 +346,13 @@ std::string Metrics::payload_json(const Machine& machine) {
     bytes_sent.push_back(c.bytes_sent);
   }
   out += "  \"rank_counters\": {\n    \"flops\": ";
-  append_int_array(out, flops);
+  append_int_array(out, flops, kSep);
   out += ",\n    \"mem_bytes\": ";
-  append_int_array(out, mem_bytes);
+  append_int_array(out, mem_bytes, kSep);
   out += ",\n    \"messages_sent\": ";
-  append_int_array(out, messages_sent);
+  append_int_array(out, messages_sent, kSep);
   out += ",\n    \"bytes_sent\": ";
-  append_int_array(out, bytes_sent);
+  append_int_array(out, bytes_sent, kSep);
   out += "\n  }\n";
   return out;
 }
@@ -465,7 +388,7 @@ void Metrics::write_report_file(
 }
 
 std::uint64_t Metrics::payload_checksum(const Machine& machine) {
-  return fnv1a(payload_json(machine));
+  return report::fnv1a(payload_json(machine));
 }
 
 void Metrics::write_straggler_table(std::ostream& os, const Machine& machine) {

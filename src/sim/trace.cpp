@@ -1,12 +1,12 @@
 #include "ptilu/sim/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "ptilu/sim/machine.hpp"
 #include "ptilu/support/check.hpp"
+#include "ptilu/support/report.hpp"
 #include "ptilu/support/table.hpp"
 
 namespace ptilu::sim {
@@ -28,28 +28,10 @@ namespace {
 
 constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
 
-/// Deterministic decimal form (no locale, no pointers). Values are
-/// microseconds; "%.12g" keeps sub-ns resolution even for hour-long modeled
-/// runs, so adjacent spans stay non-overlapping after round-tripping.
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-        break;
-    }
-  }
-}
+/// Trace values are microseconds; 12 significant digits keep sub-ns
+/// resolution even for hour-long modeled runs, so adjacent spans stay
+/// non-overlapping after round-tripping.
+constexpr int kTraceDigits = 12;
 
 }  // namespace
 
@@ -250,13 +232,13 @@ void Trace::write_chrome_trace(std::ostream& os) const {
     sep();
     out += "{\"name\":\"";
     const std::string& phase = phase_names_[span.phase];
-    append_escaped(out, phase.empty() ? span_kind_name(span.kind) : phase);
+    report::append_escaped(out, phase.empty() ? span_kind_name(span.kind) : phase);
     out += "\",\"cat\":\"";
     out += span_kind_name(span.kind);
-    out += "\",\"ph\":\"X\",\"ts\":";
-    append_number(out, span.start * 1e6);  // trace_event timestamps are in µs
+    out += "\",\"ph\":\"X\",\"ts\":";  // trace_event timestamps are in µs
+    report::append_number(out, span.start * 1e6, kTraceDigits);
     out += ",\"dur\":";
-    append_number(out, (span.end - span.start) * 1e6);
+    report::append_number(out, (span.end - span.start) * 1e6, kTraceDigits);
     out += ",\"pid\":";
     out += std::to_string(span.rank);
     out += ",\"tid\":0,\"args\":{\"kind\":\"";

@@ -213,6 +213,23 @@ TEST(AttributeBatches, LaneRollupIdentities) {
   EXPECT_GE(lanes.imbalance, 1.0);
 }
 
+TEST(LaneRollup, TieElectsLowestLaneAndZeroBusyReadsZero) {
+  serve::LaneRollup rollup;
+  rollup.busy_s.assign(3, 0.0);
+  rollup.elections.assign(3, 0);
+  EXPECT_EQ(rollup.elect(std::vector<double>{0.0, 0.0, 0.0}), 0u);
+  rollup.finish();
+  EXPECT_EQ(rollup.imbalance, 0.0);  // no lane did any work
+  EXPECT_EQ(rollup.elect(std::vector<double>{1.0, 2.0, 2.0}), 1u);
+  EXPECT_EQ(rollup.elect(std::vector<double>{3.0, 3.0}), 0u);  // narrower round
+  rollup.finish();
+  EXPECT_EQ(rollup.elapsed_s, 5.0);
+  EXPECT_EQ(rollup.busy_s, (std::vector<double>{4.0, 5.0, 2.0}));
+  EXPECT_EQ(rollup.idle_s, (std::vector<double>{1.0, 0.0, 3.0}));
+  EXPECT_EQ(rollup.elections, (std::vector<std::uint64_t>{2, 1, 0}));
+  EXPECT_EQ(rollup.imbalance, 5.0 / (11.0 / 3.0));
+}
+
 TEST(AttributeBatches, RejectsForeignPlansAndCosts) {
   Scenario sc;
   // A cost model the plan was NOT formed from: decomposition would not
@@ -240,17 +257,17 @@ TEST(AttributeStreams, RoundsElectionsAndRollups) {
   EXPECT_EQ(attr.rounds[2].straggler, 0);
   EXPECT_EQ(attr.rounds[0].elapsed_s, 5.0 * step);
   EXPECT_EQ(attr.rounds[2].cost_s[1], 0.0);  // tail round: stream 1 idles
-  EXPECT_EQ(attr.elapsed_s, (5.0 + 7.0 + 6.0) * step);
-  EXPECT_EQ(attr.busy_s[0], (3.0 + 7.0 + 6.0) * step);
-  EXPECT_EQ(attr.busy_s[1], (5.0 + 2.0) * step);
+  EXPECT_EQ(attr.rollup.elapsed_s, (5.0 + 7.0 + 6.0) * step);
+  EXPECT_EQ(attr.rollup.busy_s[0], (3.0 + 7.0 + 6.0) * step);
+  EXPECT_EQ(attr.rollup.busy_s[1], (5.0 + 2.0) * step);
   for (int s = 0; s < 2; ++s) {
-    EXPECT_EQ(attr.idle_s[static_cast<std::size_t>(s)],
-              attr.elapsed_s - attr.busy_s[static_cast<std::size_t>(s)]);
+    EXPECT_EQ(attr.rollup.idle_s[static_cast<std::size_t>(s)],
+              attr.rollup.elapsed_s - attr.rollup.busy_s[static_cast<std::size_t>(s)]);
   }
-  EXPECT_EQ(attr.elections[0], 2u);
-  EXPECT_EQ(attr.elections[1], 1u);
-  const double mean = (attr.busy_s[0] + attr.busy_s[1]) / 2.0;
-  EXPECT_EQ(attr.imbalance, attr.busy_s[0] / mean);
+  EXPECT_EQ(attr.rollup.elections[0], 2u);
+  EXPECT_EQ(attr.rollup.elections[1], 1u);
+  const double mean = (attr.rollup.busy_s[0] + attr.rollup.busy_s[1]) / 2.0;
+  EXPECT_EQ(attr.rollup.imbalance, attr.rollup.busy_s[0] / mean);
   EXPECT_EQ(telemetry.stats().straggler_elections, 3u);
 
   EXPECT_THROW(serve::attribute_streams(0, matvecs, step), Error);

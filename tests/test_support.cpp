@@ -1,4 +1,4 @@
-// Unit tests for the support module: checks, RNG, CLI, tables.
+// Unit tests for the support module: checks, RNG, CLI, tables, report core.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,6 +6,7 @@
 
 #include "ptilu/support/check.hpp"
 #include "ptilu/support/cli.hpp"
+#include "ptilu/support/report.hpp"
 #include "ptilu/support/rng.hpp"
 #include "ptilu/support/table.hpp"
 
@@ -221,6 +222,42 @@ TEST(Table, RejectsRaggedRow) {
 TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_sci(0.000123, 2), "1.23e-04");
+}
+
+TEST(ReportCore, FirstArgmaxTieGoesToLowestIndex) {
+  EXPECT_EQ(report::first_argmax(std::vector<double>{1.0, 3.0, 2.0, 3.0}), 1u);
+  EXPECT_EQ(report::first_argmax(std::vector<double>{0.0, 0.0, 0.0}), 0u);
+  EXPECT_EQ(report::first_argmax(std::vector<double>{}), 0u);
+}
+
+TEST(ReportCore, ZeroBusyImbalanceIsZero) {
+  EXPECT_EQ(report::busy_imbalance(std::vector<double>{0.0, 0.0}), 0.0);
+  EXPECT_EQ(report::busy_imbalance(std::vector<double>{2.0, 2.0}), 1.0);
+  EXPECT_EQ(report::busy_imbalance(std::vector<double>{3.0, 1.0}), 1.5);
+}
+
+TEST(ReportCore, FnvOffsetBasisAndChaining) {
+  // FNV-1a 64 reference values: "" is the offset basis itself.
+  EXPECT_EQ(report::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(report::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(report::fnv1a("bc", report::fnv1a("a")), report::fnv1a("abc"));
+}
+
+TEST(ReportCore, WritersKeepPrecisionAndSeparator) {
+  std::string out;
+  report::append_number(out, 0.1);
+  out += ' ';
+  report::append_number(out, 0.1, 12);
+  out += ' ';
+  report::append_hex16(out, 0xabcULL);
+  out += ' ';
+  report::append_escaped(out, "a\"b\\c\nd\te\x01");
+  out += ' ';
+  report::append_real_array(out, {0.5, 2.0}, ", ");
+  report::append_int_array(out, std::vector<int>{1, 2}, ",");
+  EXPECT_EQ(out,
+            "0.10000000000000001 0.1 0000000000000abc a\\\"b\\\\c\\nd\\te "
+            "[0.5, 2][1,2]");
 }
 
 }  // namespace
