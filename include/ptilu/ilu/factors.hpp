@@ -41,6 +41,17 @@ struct SparseRow {
   }
 };
 
+/// Materialize a final U row diagonal-first from its selected strictly-upper
+/// part: the size is reserved up front and the diagonal written first, so
+/// the row never pays an O(row) insert-at-front.
+inline void emit_urow(SparseRow& urow, idx i, real diag, const SparseRow& upper) {
+  urow.cols.reserve(upper.size() + 1);
+  urow.vals.reserve(upper.size() + 1);
+  urow.push(i, diag);
+  urow.cols.insert(urow.cols.end(), upper.cols.begin(), upper.cols.end());
+  urow.vals.insert(urow.vals.end(), upper.vals.begin(), upper.vals.end());
+}
+
 /// The ILUT dropping-rule selection kernel: keep the entries with magnitude
 /// >= tau, and of those at most keep_count of the largest. The comparator
 /// is the strict total order (|value| descending, column ascending), so

@@ -10,21 +10,6 @@
 
 namespace ptilu {
 
-namespace {
-
-/// Materialize a final U row from its selected strictly-upper part: the
-/// diagonal slot is reserved up front and written first, so the row never
-/// pays the O(row) insert-at-front the diagonal prepend used to cost.
-void emit_urow(SparseRow& urow, idx i, real diag, const SparseRow& upper) {
-  urow.cols.reserve(upper.size() + 1);
-  urow.vals.reserve(upper.size() + 1);
-  urow.push(i, diag);
-  urow.cols.insert(urow.cols.end(), upper.cols.begin(), upper.cols.end());
-  urow.vals.insert(urow.vals.end(), upper.vals.begin(), upper.vals.end());
-}
-
-}  // namespace
-
 void check_finite_row(const Csr& a, idx i) {
   for (nnz_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
     PTILU_CHECK(std::isfinite(a.values[k]),

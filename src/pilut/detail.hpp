@@ -166,16 +166,6 @@ std::uint64_t eliminate_cascading(WorkingRow& w, FactorState& state, real tau_i,
   return flops;
 }
 
-/// Materialize a final U row diagonal-first from its selected off-diagonal
-/// part, reserving the exact size up front (no insert-at-front shuffle).
-inline void emit_urow(SparseRow& urow, idx i, real diag, const SparseRow& upper) {
-  urow.cols.reserve(upper.size() + 1);
-  urow.vals.reserve(upper.size() + 1);
-  urow.push(i, diag);
-  urow.cols.insert(urow.cols.end(), upper.cols.begin(), upper.cols.end());
-  urow.vals.insert(urow.vals.end(), upper.vals.begin(), upper.vals.end());
-}
-
 /// Finish pivot row i from the lane's eliminated working row: columns
 /// `is_lower` accepts are its L multipliers (zeros skipped), the others
 /// but i its U part; each side keeps its m largest above the drop

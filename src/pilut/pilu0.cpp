@@ -80,7 +80,7 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
     diag = safeguard_pivot(i, diag,
                            opts.pivot_rel > 0.0 ? opts.pivot_rel * run.norms[i] : 0.0,
                            tally.guarded);
-    pilut_detail::emit_urow(urows[i], i, diag, upper);
+    emit_urow(urows[i], i, diag, upper);
     w.clear();
   };
 

@@ -208,7 +208,7 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
         diag = safeguard_pivot(v, diag,
                                opts.pivot_rel > 0.0 ? opts.pivot_rel * run.norms[v] : 0.0,
                                tally.guarded);
-        pilut_detail::emit_urow(run.state.urows[v], v, diag, ustage);
+        emit_urow(run.state.urows[v], v, diag, ustage);
         tail.clear();
       }
       ctx.charge_flops(flops);
