@@ -3,7 +3,7 @@
 
 Three schema families are understood, dispatched on the file's "schema":
 
-  * ptilu-bench-wallclock-v1/v2/v3/v4 — bench_wallclock output (host seconds);
+  * ptilu-bench-wallclock-v4 — bench_wallclock output (host seconds);
   * ptilu-bench-scale-v1 — bench_scale output (modeled strong/weak scaling
     sweeps; see docs/SCALING.md);
   * ptilu-bench-serve-v1 — bench_serve output (the preconditioner-serving
@@ -39,22 +39,19 @@ Cross-family --compare (wallclock vs scale vs serve, in any order) is
 always refused: the numbers live on different axes.
 
 bench_wallclock validation checks (stdlib only, no third-party dependencies):
-  * the file is valid JSON with "schema": "ptilu-bench-wallclock-v2",
-    -v3, or -v4 (v1 files, which predate the execution-backend field,
-    still validate);
-  * top level carries a boolean "quick" and a positive int "repetitions";
-    v2+ additionally records the execution backend ("sequential" or
-    "threads") and the worker-pool size ("threads", 0 = auto); v4
-    additionally records the kernel "variant" ("scalar" or "blocked" —
-    the supernodal/register-blocked ILUT path);
+  * the file is valid JSON with "schema": "ptilu-bench-wallclock-v4";
+  * top level carries a boolean "quick", a positive int "repetitions", the
+    execution backend ("sequential" or "threads"), the worker-pool size
+    ("threads", 0 = auto), and the kernel "variant" ("scalar" or
+    "blocked" — the supernodal/register-blocked ILUT path);
   * "benches" is a non-empty list; every entry has a unique name, a
     workload, a kind in {factorization, solve}, positive n/nnz, a
     "reps_s" list of `repetitions` positive floats, and median/min/max
     consistent with the samples (median recomputed, min <= median <= max);
   * a numeric "checksum" (guards against dead-code-eliminated benches);
-  * v3+ benches may carry "report_checksum", the 16-hex-digit FNV-1a hash
-    of the metrics report payload of an untimed observed rerun (written
-    when bench_wallclock runs with --report/--report-dir).
+  * benches may carry "report_checksum", the 16-hex-digit FNV-1a hash of
+    the metrics report payload of an untimed observed rerun (written when
+    bench_wallclock runs with --report/--report-dir).
 
 Comparison mode (--compare BASELINE CURRENT) validates both files, pairs
 benches by name, requires matching checksums (the two builds must compute
@@ -76,14 +73,16 @@ code change under test. Pass --allow-backend-mismatch when that backend
 speedup is exactly what you mean to measure (checksums still must match —
 the backends are bit-identical by contract).
 
-Comparing runs from *different kernel variants* (scalar vs blocked, files
-before v4 default to "scalar") is likewise refused by default; pass
---allow-variant-mismatch when the blocked path's speedup over scalar is
-the measurement you want. Unlike a backend mismatch, the blocked variant
-drops block-wise (Frobenius norm over register tiles), so its factors —
-and hence its checksums — legitimately differ from scalar: with
---allow-variant-mismatch a checksum mismatch is reported as a note, not a
-failure.
+Comparing runs from *different kernel variants* (scalar vs blocked) is
+likewise refused by default; pass --allow-variant-mismatch when the
+blocked path's speedup over scalar is the measurement you want. Unlike a
+backend mismatch, the blocked variant drops block-wise (Frobenius norm
+over register tiles), so its factors — and hence its checksums —
+legitimately differ from scalar: with --allow-variant-mismatch a checksum
+mismatch is reported as a note, not a failure. A bench whose checksum is
+*equal* across the variants ran the same code on both sides (the variant
+never reaches it, e.g. the pilut_* rows): it is noted as
+variant-independent and gets no speedup, in the table or in --out.
 
 Exit status 0 on success, 1 on any violation.
 
@@ -98,29 +97,15 @@ import argparse
 import json
 import sys
 
-SCHEMAS = {"ptilu-bench-wallclock-v1", "ptilu-bench-wallclock-v2",
-           "ptilu-bench-wallclock-v3", "ptilu-bench-wallclock-v4"}
+from ptilu_check import finish, is_hex16, load
+
+SCHEMA = "ptilu-bench-wallclock-v4"
 SCALE_SCHEMA = "ptilu-bench-scale-v1"
 SERVE_SCHEMA = "ptilu-bench-serve-v1"
-# v2 added the execution backend; v3 added optional per-bench
-# report_checksum; v4 added the top-level kernel variant.
-SCHEMAS_WITH_BACKEND = {"ptilu-bench-wallclock-v2", "ptilu-bench-wallclock-v3",
-                        "ptilu-bench-wallclock-v4"}
-SCHEMAS_WITH_REPORT = {"ptilu-bench-wallclock-v3", "ptilu-bench-wallclock-v4"}
-SCHEMA_V4 = "ptilu-bench-wallclock-v4"
 BACKENDS = {"sequential", "threads"}
 VARIANTS = {"scalar", "blocked"}
 KINDS = {"factorization", "solve"}
 REL_EPS = 1e-9
-
-
-def load(path, errors):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        errors.append(f"{path}: cannot parse: {exc}")
-        return None
 
 
 def validate_scale(doc, path, errors):
@@ -213,11 +198,6 @@ def _schema_family(doc):
     return "wallclock"
 
 
-def _is_hex16(value):
-    return (isinstance(value, str) and len(value) == 16
-            and all(c in "0123456789abcdef" for c in value))
-
-
 def _check_rate(where, doc_part, count, total_key, rate_key, errors):
     """solves-per-second fields must be recomputable from count / total."""
     total = doc_part.get(total_key)
@@ -278,7 +258,7 @@ def validate_serve(doc, path, errors):
         for key in ("hits", "misses", "evictions"):
             if not isinstance(cache.get(key), int) or cache.get(key) < 0:
                 errors.append(f"{path}: cache '{key}' must be a non-negative int")
-    if not _is_hex16(doc.get("payload_checksum")):
+    if not is_hex16(doc.get("payload_checksum")):
         errors.append(
             f"{path}: 'payload_checksum' must be 16 lowercase hex digits, "
             f"got {doc.get('payload_checksum')!r}")
@@ -406,8 +386,8 @@ def validate_serve(doc, path, errors):
 
 def compare_serve(baseline, current, args, errors):
     """serve-vs-serve: wall throughput ratio over matching deterministic plans."""
-    base_backend = baseline.get("backend", "sequential")
-    cur_backend = current.get("backend", "sequential")
+    base_backend = baseline["backend"]
+    cur_backend = current["backend"]
     if base_backend != cur_backend and not args.allow_backend_mismatch:
         errors.append(
             f"execution backend mismatch (baseline {base_backend!r}, current "
@@ -454,35 +434,32 @@ def validate(doc, path, errors):
     if doc.get("schema") == SERVE_SCHEMA:
         validate_serve(doc, path, errors)
         return
-    if doc.get("schema") not in SCHEMAS:
+    if doc.get("schema") != SCHEMA:
         errors.append(
             f"{path}: schema is {doc.get('schema')!r}, want one of "
-            f"{sorted(SCHEMAS | {SCALE_SCHEMA, SERVE_SCHEMA})}")
-    if doc.get("schema") in SCHEMAS_WITH_BACKEND:
-        if doc.get("backend") not in BACKENDS:
-            errors.append(
-                f"{path}: 'backend' is {doc.get('backend')!r}, want one of {sorted(BACKENDS)}")
-        threads = doc.get("threads")
-        if not isinstance(threads, int) or threads < 0:
-            errors.append(f"{path}: 'threads' must be a non-negative int")
-    if doc.get("schema") == SCHEMA_V4:
-        if doc.get("variant") not in VARIANTS:
-            errors.append(
-                f"{path}: 'variant' is {doc.get('variant')!r}, want one of "
-                f"{sorted(VARIANTS)}")
-        # Blocked runs record their amalgamation knobs for reproducibility.
-        if doc.get("variant") == "blocked":
-            if not isinstance(doc.get("panel"), int) or doc.get("panel") < 1:
-                errors.append(f"{path}: blocked runs need a positive int 'panel'")
-            slack = doc.get("slack")
-            if not isinstance(slack, (int, float)) or slack < 0:
-                errors.append(f"{path}: blocked runs need a non-negative 'slack'")
-        else:
-            for key in ("panel", "slack"):
-                if key in doc:
-                    errors.append(f"{path}: '{key}' only applies to blocked runs")
-    elif "variant" in doc:
-        errors.append(f"{path}: 'variant' requires schema v4")
+            f"{sorted({SCHEMA, SCALE_SCHEMA, SERVE_SCHEMA})}")
+        return
+    if doc.get("backend") not in BACKENDS:
+        errors.append(
+            f"{path}: 'backend' is {doc.get('backend')!r}, want one of {sorted(BACKENDS)}")
+    threads = doc.get("threads")
+    if not isinstance(threads, int) or threads < 0:
+        errors.append(f"{path}: 'threads' must be a non-negative int")
+    if doc.get("variant") not in VARIANTS:
+        errors.append(
+            f"{path}: 'variant' is {doc.get('variant')!r}, want one of "
+            f"{sorted(VARIANTS)}")
+    # Blocked runs record their amalgamation knobs for reproducibility.
+    if doc.get("variant") == "blocked":
+        if not isinstance(doc.get("panel"), int) or doc.get("panel") < 1:
+            errors.append(f"{path}: blocked runs need a positive int 'panel'")
+        slack = doc.get("slack")
+        if not isinstance(slack, (int, float)) or slack < 0:
+            errors.append(f"{path}: blocked runs need a non-negative 'slack'")
+    else:
+        for key in ("panel", "slack"):
+            if key in doc:
+                errors.append(f"{path}: '{key}' only applies to blocked runs")
     if not isinstance(doc.get("quick"), bool):
         errors.append(f"{path}: missing boolean 'quick'")
     reps = doc.get("repetitions")
@@ -516,14 +493,10 @@ def validate(doc, path, errors):
         if not isinstance(bench.get("checksum"), (int, float)):
             errors.append(f"{where}: missing numeric checksum")
         report_checksum = bench.get("report_checksum")
-        if report_checksum is not None:
-            if doc.get("schema") not in SCHEMAS_WITH_REPORT:
-                errors.append(f"{where}: report_checksum requires schema v3+")
-            elif (not isinstance(report_checksum, str) or len(report_checksum) != 16
-                  or any(c not in "0123456789abcdef" for c in report_checksum)):
-                errors.append(
-                    f"{where}: report_checksum must be 16 lowercase hex digits, "
-                    f"got {report_checksum!r}")
+        if report_checksum is not None and not is_hex16(report_checksum):
+            errors.append(
+                f"{where}: report_checksum must be 16 lowercase hex digits, "
+                f"got {report_checksum!r}")
         samples = bench.get("reps_s")
         if (not isinstance(samples, list) or not samples
                 or not all(isinstance(s, (int, float)) and s > 0 for s in samples)):
@@ -543,19 +516,16 @@ def validate(doc, path, errors):
 
 
 def compare(baseline, current, args, errors):
-    # v1 files predate Options::backend, when only the sequential
-    # interpreter existed.
-    base_backend = baseline.get("backend", "sequential")
-    cur_backend = current.get("backend", "sequential")
+    base_backend = baseline["backend"]
+    cur_backend = current["backend"]
     if base_backend != cur_backend and not args.allow_backend_mismatch:
         errors.append(
             f"execution backend mismatch (baseline {base_backend!r}, current "
             f"{cur_backend!r}): the speedup would measure the backend, not the "
             f"change under test — pass --allow-backend-mismatch if that is intended")
         return
-    # Pre-v4 files predate the blocked kernels, when only scalar existed.
-    base_variant = baseline.get("variant", "scalar")
-    cur_variant = current.get("variant", "scalar")
+    base_variant = baseline["variant"]
+    cur_variant = current["variant"]
     variant_mismatch = base_variant != cur_variant
     if variant_mismatch and not args.allow_variant_mismatch:
         errors.append(
@@ -572,8 +542,15 @@ def compare(baseline, current, args, errors):
         if base is None:
             print(f"note: bench {name!r} has no baseline entry, skipped")
             continue
-        if abs(base["checksum"] - bench["checksum"]) > 1e-9 * max(
-                1.0, abs(base["checksum"])):
+        same_result = abs(base["checksum"] - bench["checksum"]) <= 1e-9 * max(
+            1.0, abs(base["checksum"]))
+        if same_result and variant_mismatch:
+            # The variant never reached this bench: both sides ran the same
+            # code, so a ratio would only measure host noise.
+            print(f"note: {name}: checksum equal across kernel variants — "
+                  f"variant-independent, no speedup recorded")
+            continue
+        if not same_result:
             if variant_mismatch:
                 # Blocked dropping is block-wise, so its factors (and hence
                 # checksums) legitimately differ from scalar's.
@@ -663,10 +640,7 @@ def main() -> int:
             compare(docs[0], docs[1], args, errors)
 
     if errors:
-        for error in errors:
-            print(f"FAIL: {error}")
-        print(f"{len(errors)} violation(s)")
-        return 1
+        return finish(errors)
     if not args.compare:
         doc = docs[0]
         if doc.get("schema") == SCALE_SCHEMA:
@@ -683,7 +657,7 @@ def main() -> int:
         else:
             print(f"OK: {args.files[0]}: {len(doc['benches'])} benches, "
                   f"{doc['repetitions']} repetitions, "
-                  f"backend {doc.get('backend', 'sequential')}")
+                  f"backend {doc['backend']}")
     return 0
 
 

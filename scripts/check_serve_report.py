@@ -18,7 +18,8 @@ Identities enforced, per apply section:
   * straggler_column is the FIRST argmax of column_solve_s;
   * the lane rollup reproduces exactly: busy from per-lane folds, elapsed
     from per-batch maxima, idle = elapsed - busy, elections tallied from
-    the per-batch winners, imbalance = max busy / mean busy;
+    the per-batch winners, imbalance = max busy / mean busy (0 when no
+    lane did any work);
   * the histogram is rebuilt latency-by-latency from the batch details
     (latency = start + service - arrival, bucketed via math.frexp with
     the spec's dyadic edges) and must match the serialized buckets,
@@ -40,8 +41,9 @@ The report must carry no backend/threads identity (it is byte-comparable
 across backends by contract) and no wall_* fields.
 
 With --trace TRACE.json the serve lifecycle Chrome trace is additionally
-validated: trace_event structure, non-negative spans, and the
-requests/batches process metadata.
+validated: trace_event structure (as check_trace.py checks it: named
+processes, non-negative and non-overlapping spans per track), the "serve"
+span category, and every lifecycle span kind present.
 
 Exit status 0 on success, 1 on any violation.
 
@@ -50,20 +52,13 @@ Usage:
 """
 
 import argparse
-import json
 import math
 import sys
 
+from ptilu_check import (check_rollup, check_trace_events, finish, first_argmax,
+                         is_hex16, is_num, load)
+
 SCHEMA = "ptilu-serve-report-v1"
-
-
-def is_hex16(value):
-    return (isinstance(value, str) and len(value) == 16
-            and all(c in "0123456789abcdef" for c in value))
-
-
-def is_num(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class HistSpec:
@@ -110,36 +105,6 @@ def exact_quantile(ordered, q):
     rank = math.ceil(q * float(len(ordered)))
     index = 0 if rank == 0 else rank - 1
     return ordered[min(index, len(ordered) - 1)]
-
-
-def first_argmax(values):
-    winner = 0
-    for i in range(1, len(values)):
-        if values[i] > values[winner]:
-            winner = i
-    return winner
-
-
-def check_rollup(where, rollup, expect_elapsed, expect_busy, expect_elections,
-                 errors):
-    """busy/idle/elections/imbalance identities shared by lanes and streams."""
-    lanes = len(expect_busy)
-    for key, want in (("elapsed_s", expect_elapsed), ("busy_s", expect_busy),
-                      ("idle_s", [expect_elapsed - b for b in expect_busy]),
-                      ("elections", expect_elections)):
-        got = rollup.get(key)
-        if got != want:
-            errors.append(f"{where}: '{key}' is {got!r}, recomputed {want!r}")
-    busy_sum = 0.0
-    busy_max = 0.0
-    for busy in expect_busy:
-        busy_sum += busy
-        busy_max = max(busy_max, busy)
-    mean = busy_sum / float(lanes)
-    want = busy_max / mean if mean > 0.0 else 1.0
-    if rollup.get("imbalance") != want:
-        errors.append(
-            f"{where}: 'imbalance' is {rollup.get('imbalance')!r}, recomputed {want!r}")
 
 
 def check_apply_section(section, spec, shards, path, i, errors):
@@ -244,8 +209,8 @@ def check_apply_section(section, spec, shards, path, i, errors):
     if not isinstance(lanes, dict):
         errors.append(f"{where}: missing 'lanes' rollup")
     else:
-        check_rollup(f"{where}: lanes", lanes, lane_elapsed, lane_busy,
-                     lane_elections, errors)
+        check_rollup(f"{where}: lanes", lanes, lane_elapsed, lane_busy, errors,
+                     elections=lane_elections)
 
     # Rebuild the histogram from the latencies the batch details imply.
     latency = section.get("latency")
@@ -369,7 +334,8 @@ def check_stream_section(stream, path, errors):
     if not isinstance(rollup, dict):
         errors.append(f"{where}: missing 'rollup'")
     else:
-        check_rollup(f"{where}: rollup", rollup, elapsed, busy, elections, errors)
+        check_rollup(f"{where}: rollup", rollup, elapsed, busy, errors,
+                     elections=elections)
     return len(rounds)
 
 
@@ -460,39 +426,19 @@ def validate_report(doc, path, errors):
 
 
 def validate_trace(doc, path, errors):
-    """Light structural validation of the serve lifecycle Chrome trace."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
-        errors.append(f"{path}: not a trace_event JSON object")
+    """The serve lifecycle Chrome trace: trace_event structure, the span
+    category, and every lifecycle span kind present."""
+    checked = check_trace_events(doc, path, errors)
+    if checked is None:
         return
-    events = doc["traceEvents"]
-    named_pids = set()
     span_names = set()
-    for i, event in enumerate(events):
-        where = f"{path}: traceEvents[{i}]"
-        if not isinstance(event, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        phase = event.get("ph")
-        if phase not in ("M", "X"):
-            errors.append(f"{where}: unexpected phase {phase!r}")
-            continue
-        if not isinstance(event.get("pid"), int) or not isinstance(event.get("tid"), int):
-            errors.append(f"{where}: pid/tid must be ints")
-        if phase == "M":
-            if event.get("name") == "process_name":
-                named_pids.add(event.get("pid"))
-        else:
-            for key in ("ts", "dur"):
-                if not is_num(event.get(key)) or event.get(key) < 0:
-                    errors.append(f"{where}: '{key}' must be a non-negative number")
-            if event.get("cat") != "serve":
-                errors.append(f"{where}: span category must be 'serve'")
-            span_names.add(event.get("name"))
-            if event.get("pid") not in named_pids:
-                errors.append(f"{where}: span pid {event.get('pid')!r} has no "
-                              f"process_name metadata")
+    for spans in checked[1].values():
+        for span in spans:
+            if span.get("cat") != "serve":
+                errors.append(f"{path}: span {span['name']!r} category must be 'serve'")
+            span_names.add(span["name"])
     for name in ("wait", "solve", "resolve", "solve batch"):
-        if events and name not in span_names:
+        if span_names and name not in span_names:
             errors.append(f"{path}: no {name!r} spans — lifecycle export incomplete")
 
 
@@ -505,29 +451,15 @@ def main() -> int:
     args = parser.parse_args()
 
     errors = []
-    try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        errors.append(f"{args.report}: cannot parse: {exc}")
-        doc = None
+    doc = load(args.report, errors)
     if doc is not None:
         validate_report(doc, args.report, errors)
     if args.trace is not None:
-        try:
-            with open(args.trace, "r", encoding="utf-8") as handle:
-                trace = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            errors.append(f"{args.trace}: cannot parse: {exc}")
-            trace = None
+        trace = load(args.trace, errors)
         if trace is not None:
             validate_trace(trace, args.trace, errors)
-
     if errors:
-        for error in errors:
-            print(f"FAIL: {error}")
-        print(f"{len(errors)} violation(s)")
-        return 1
+        return finish(errors)
     napply = len(doc["apply"])
     nrounds = len(doc.get("stream", {}).get("rounds", []))
     print(f"OK: {args.report}: {napply} apply sections, "

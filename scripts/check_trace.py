@@ -17,10 +17,9 @@ Usage: check_trace.py [--ranks N] trace.json
 """
 
 import argparse
-import json
 import sys
 
-EPSILON_US = 1e-3  # trace_event timestamps are microseconds; ~1 ns slack
+import ptilu_check
 
 
 def main() -> int:
@@ -31,81 +30,16 @@ def main() -> int:
     args = parser.parse_args()
 
     errors = []
-
-    try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"FAIL: cannot parse {args.trace}: {exc}")
-        return 1
-
-    if not isinstance(doc, dict):
-        print(f"FAIL: top level of {args.trace} is not a JSON object")
-        return 1
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        print(f"FAIL: {args.trace} has no traceEvents list")
-        return 1
-
-    named_pids = set()   # pids with a process_name metadata record
-    event_pids = set()   # pids owning any event
-    tracks = {}          # (pid, tid) -> list of (ts, dur, name)
-
-    for i, event in enumerate(events):
-        where = f"traceEvents[{i}]"
-        if not isinstance(event, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        for key in ("name", "ph", "pid", "tid"):
-            if key not in event:
-                errors.append(f"{where}: missing required key '{key}'")
-        ph = event.get("ph")
-        pid = event.get("pid")
-        if isinstance(pid, int):
-            event_pids.add(pid)
-        if ph == "M":
-            if event.get("name") == "process_name" and isinstance(pid, int):
-                named_pids.add(pid)
-        elif ph == "X":
-            ts = event.get("ts")
-            dur = event.get("dur")
-            if not isinstance(ts, (int, float)) or ts < 0:
-                errors.append(f"{where}: bad ts {ts!r}")
-                continue
-            if not isinstance(dur, (int, float)) or dur < 0:
-                errors.append(f"{where}: bad dur {dur!r}")
-                continue
-            tracks.setdefault((pid, event.get("tid")), []).append(
-                (ts, dur, event.get("name")))
-        else:
-            errors.append(f"{where}: unexpected phase {ph!r}")
-
-    for pid in sorted(event_pids - named_pids):
-        errors.append(f"pid {pid} has events but no process_name metadata")
-
-    if args.ranks is not None:
-        expected = set(range(args.ranks))
-        if named_pids != expected:
-            errors.append(
-                f"expected rank pids {sorted(expected)}, got {sorted(named_pids)}")
-
-    for (pid, tid), spans in sorted(tracks.items()):
-        prev_end = 0.0
-        prev_name = None
-        for ts, dur, name in spans:
-            if ts < prev_end - EPSILON_US:
-                errors.append(
-                    f"pid {pid} tid {tid}: span '{name}' at ts={ts} overlaps "
-                    f"previous span '{prev_name}' ending at {prev_end}")
-            prev_end = max(prev_end, ts + dur)
-            prev_name = name
-
+    doc = ptilu_check.load(args.trace, errors)
+    checked = None if doc is None else ptilu_check.check_trace_events(doc, args.trace, errors)
+    if checked is None:
+        return ptilu_check.finish(errors)
+    named_pids, tracks = checked
+    if args.ranks is not None and named_pids != set(range(args.ranks)):
+        errors.append(f"{args.trace}: expected rank pids {list(range(args.ranks))}, "
+                      f"got {sorted(named_pids)}")
     if errors:
-        for error in errors:
-            print(f"FAIL: {error}")
-        print(f"{len(errors)} violation(s) in {args.trace}")
-        return 1
-
+        return ptilu_check.finish(errors)
     n_x = sum(len(spans) for spans in tracks.values())
     print(f"OK: {args.trace}: {n_x} spans on {len(tracks)} tracks, "
           f"{len(named_pids)} named ranks")

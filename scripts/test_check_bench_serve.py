@@ -11,6 +11,10 @@ of the per-file sweep it exercises the --compare dispatch: serve-vs-serve
 with wall data succeeds, --exact files are refused (no wall data), a
 payload-checksum mismatch is refused (different batch plans), and a
 serve file compared against a wallclock file is refused as cross-family.
+It also checks that retired schemas (ptilu-bench-wallclock-v1..v3,
+ptilu-report-v1) are rejected by name, and that a scalar-vs-blocked
+wallclock compare records no speedup for a bench whose checksum is equal
+across the variants.
 
 Invoked as `test_check_bench_serve.py --cross-backend A.json B.json` it
 instead checks backend-identical execution: two --exact serve files must
@@ -26,9 +30,12 @@ import subprocess
 import sys
 import tempfile
 
+from ptilu_check import finish, load
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKER = os.path.join(REPO, "scripts", "check_bench_json.py")
 REPORT_CHECKER = os.path.join(REPO, "scripts", "check_serve_report.py")
+RUN_REPORT_CHECKER = os.path.join(REPO, "scripts", "check_report.py")
 FIXTURES = os.path.join(REPO, "tests", "serve_fixtures")
 REPORT_FIXTURES = os.path.join(FIXTURES, "report")
 
@@ -43,11 +50,32 @@ def run_report_checker(*argv):
                           capture_output=True, text=True)
 
 
+def write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return path
+
+
+def wallclock_doc(variant, benches):
+    """A minimal valid ptilu-bench-wallclock-v4 document."""
+    doc = {"schema": "ptilu-bench-wallclock-v4", "quick": False, "repetitions": 1,
+           "backend": "sequential", "threads": 0, "variant": variant,
+           "benches": [{"name": name, "workload": "G0", "kind": "factorization",
+                        "n": 16, "nnz": 64, "checksum": checksum, "reps_s": [median],
+                        "median_s": median, "min_s": median, "max_s": median}
+                       for name, checksum, median in benches]}
+    if variant == "blocked":
+        doc.update(panel=8, slack=3.0)
+    return doc
+
+
 def cross_backend(path_a, path_b) -> int:
     docs = []
     for path in (path_a, path_b):
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        errors = []
+        doc = load(path, errors)
+        if doc is None:
+            return finish(errors)
         if doc.get("exact") is not True:
             print(f"FAIL: {path}: cross-backend check needs --exact files "
                   f"(wall timings legitimately differ)")
@@ -118,34 +146,57 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # A payload_checksum mismatch means the two runs planned different
         # batches, so their throughput is not comparable.
-        with open(ok_wall, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = load(ok_wall, failures)
         doc["payload_checksum"] = "feedfacefeedface"
-        mutated = os.path.join(tmp, "mutated_checksum.json")
-        with open(mutated, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        mutated = write_json(os.path.join(tmp, "mutated_checksum.json"), doc)
         proc = run_checker("--compare", ok_wall, mutated)
         if proc.returncode == 0 or "payload_checksum mismatch" not in proc.stdout:
             failures.append(
                 f"checksum-mismatch compare should be refused:\n{proc.stdout}")
 
-        # Cross-family refusal: a minimal valid wallclock-v1 doc against a
+        # Cross-family refusal: a minimal valid wallclock doc against a
         # serve doc must be rejected regardless of argument order.
-        wallclock = os.path.join(tmp, "wallclock.json")
-        with open(wallclock, "w", encoding="utf-8") as handle:
-            json.dump({
-                "schema": "ptilu-bench-wallclock-v1",
-                "quick": False, "repetitions": 1,
-                "benches": [{"name": "factor", "workload": "G0",
-                             "kind": "factorization", "n": 16, "nnz": 64,
-                             "checksum": 1.0, "reps_s": [0.5],
-                             "median_s": 0.5, "min_s": 0.5, "max_s": 0.5}],
-            }, handle)
+        wallclock = write_json(os.path.join(tmp, "wallclock.json"),
+                               wallclock_doc("scalar", [("factor", 1.0, 0.5)]))
         for pair in ((wallclock, ok_wall), (ok_wall, wallclock)):
             proc = run_checker("--compare", *pair)
             if proc.returncode == 0 or "cross-family" not in proc.stdout:
                 failures.append(
                     f"cross-family compare {pair} should be refused:\n{proc.stdout}")
+
+        # Retired schemas have no reader left: each is rejected by name.
+        doc = load(wallclock, failures)
+        for version in ("v1", "v2", "v3"):
+            doc["schema"] = f"ptilu-bench-wallclock-{version}"
+            path = write_json(os.path.join(tmp, f"wallclock_{version}.json"), doc)
+            proc = run_checker(path)
+            if proc.returncode == 0 or f"schema is '{doc['schema']}'" not in proc.stdout:
+                failures.append(f"{doc['schema']} should be rejected by name:\n{proc.stdout}")
+        report_v1 = write_json(os.path.join(tmp, "report_v1.json"),
+                               {"schema": "ptilu-report-v1", "ranks": 1, "run": {}})
+        proc = subprocess.run([sys.executable, RUN_REPORT_CHECKER, report_v1],
+                              capture_output=True, text=True)
+        if proc.returncode == 0 or "schema is 'ptilu-report-v1'" not in proc.stdout:
+            failures.append(f"ptilu-report-v1 should be rejected by name:\n{proc.stdout}")
+
+        # Scalar vs blocked: a bench whose checksum is equal across the
+        # variants ran the same code twice, so it gets a note and no speedup.
+        scalar = write_json(os.path.join(tmp, "scalar.json"), wallclock_doc(
+            "scalar", [("ilut_G0", 1.0, 0.5), ("pilut_G0_p4", 2.0, 0.5)]))
+        blocked = write_json(os.path.join(tmp, "blocked.json"), wallclock_doc(
+            "blocked", [("ilut_G0", 1.5, 0.25), ("pilut_G0_p4", 2.0, 0.25)]))
+        merged = os.path.join(tmp, "merged.json")
+        proc = run_checker("--compare", scalar, blocked, "--allow-variant-mismatch",
+                           "--out", merged)
+        if proc.returncode != 0 or "pilut_G0_p4: checksum equal across kernel variants " \
+                "— variant-independent" not in proc.stdout:
+            failures.append(f"variant-independent bench should be noted:\n{proc.stdout}")
+        else:
+            rows = {b["name"]: b for b in load(merged, failures)["benches"]}
+            if "speedup" in rows["pilut_G0_p4"] or "baseline_median_s" in rows["pilut_G0_p4"]:
+                failures.append("variant-independent bench must not record a speedup")
+            if rows["ilut_G0"].get("speedup") != 2.0:
+                failures.append(f"ilut_G0 should record speedup 2.0: {rows['ilut_G0']}")
 
     if failures:
         for failure in failures:
