@@ -800,6 +800,95 @@ TEST(ModeledChargePins, FactorNestedStages) {
       "factor/pivots_guarded=0"}));
 }
 
+TEST(ModeledChargePins, FactorManyRanks) {
+  // The pins above run p=4. At p=96 on G0 24^2 (six rows a rank, nearly
+  // all of them interface) the MIS peer routing crosses more ranks than a
+  // 64-bit mask holds, and PILU0 strips many colour classes from its graph.
+  const DistCsr dist = make_dist(g0_small(), 96);
+  const Digest pilut = factor_digest(dist, [&](sim::Machine& m) {
+    return pilut_factor(m, dist, {.m = 10, .tau = 1e-4});
+  });
+  const Digest pilu0 = factor_digest(dist, [&](sim::Machine& m) {
+    return pilu0_factor(m, dist, {.pivot_rel = 1e-12});
+  });
+  EXPECT_EQ(pilut, (Digest{
+      "modeled=0x1.03dbfb8990b6ep-5",
+      "supersteps=786",
+      "messages=151838",
+      "bytes=1498024",
+      "flops=420425",
+      "out=880680d171b3c779",
+      "factor/interior",
+      "  elapsed=0x1.df284416db38dp-17 busy=0x1.675e3311246a2p-10",
+      "  flops=42 sent=0 recv=0 msgs=0",
+      "factor/interface/form_reduced",
+      "  elapsed=0x1.3b69629a290bap-16 busy=0x1.d91e13e73d91ap-10",
+      "  flops=689 sent=0 recv=0 msgs=0",
+      "factor/interface/setup",
+      "  elapsed=0x1.38eedb80c9d6p-8 busy=0x1.d56649412ee9ap-2",
+      "  flops=0 sent=677920 recv=677920 msgs=39957",
+      "factor/interface/mis/setup",
+      "  elapsed=0x1.0cf3029688437p-10 busy=0x1.936c83e1cc6cep-4",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/interface/mis/rounds",
+      "  elapsed=0x1.e9a0089cd218dp-7 busy=0x1.6f3806759d62cp+0",
+      "  flops=320641 sent=309264 recv=309264 msgs=57908",
+      "factor/interface/mis/drain",
+      "  elapsed=0x1.ce6c093d9667bp-11 busy=0x1.5ad106ee30cdfp-4",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/interface/number",
+      "  elapsed=0x1.dc5a18005024ap-11 busy=0x1.654392003be4cp-4",
+      "  flops=0 sent=25728 recv=0 msgs=43008",
+      "factor/interface/factor",
+      "  elapsed=0x1.f436732ea0d86p-11 busy=0x1.7728d662f896ep-4",
+      "  flops=7006 sent=0 recv=0 msgs=0",
+      "factor/interface/exchange",
+      "  elapsed=0x1.c540a7c016cfep-8 busy=0x1.53f07dd0112cap-1",
+      "  flops=0 sent=485112 recv=485112 msgs=10965",
+      "factor/interface/reduce",
+      "  elapsed=0x1.50a3dc68a12dcp-10 busy=0x1.f8f5ca9cf1bcdp-4",
+      "  flops=92047 sent=0 recv=0 msgs=0",
+      "levels=64 max_reduced_row=50 pivots_guarded=0",
+      "factor/fill=10713",
+      "factor/dropped=6411",
+      "factor/pivots_guarded=0"}));
+  EXPECT_EQ(pilu0, (Digest{
+      "modeled=0x1.aaf17b6ff25d9p-11",
+      "supersteps=44",
+      "messages=5648",
+      "bytes=36816",
+      "flops=8980",
+      "out=cf28c18713ded166",
+      "factor/interior",
+      "  elapsed=0x1.d9c9e05e4f15cp-17 busy=0x1.63576846bb505p-10",
+      "  flops=18 sent=0 recv=0 msgs=0",
+      "factor/color/setup",
+      "  elapsed=0x1.ed4009db4b14cp-17 busy=0x1.71f00764784f5p-10",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/color/mis/setup",
+      "  elapsed=0x1.298b3eb7f6a7p-14 busy=0x1.be50de13f1fa8p-8",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/color/mis/rounds",
+      "  elapsed=0x1.14104a7e680aep-12 busy=0x1.9e186fbd9c10bp-6",
+      "  flops=5668 sent=4536 recv=4536 msgs=1049",
+      "factor/color/mis/drain",
+      "  elapsed=0x1.2599ed7c6fbd6p-14 busy=0x1.b866e43aa79fp-8",
+      "  flops=0 sent=0 recv=0 msgs=0",
+      "factor/number",
+      "  elapsed=0x1.2daaa0369d9fp-14 busy=0x1.c47ff051ec6c9p-8",
+      "  flops=0 sent=3936 recv=0 msgs=3360",
+      "factor/interface/exchange",
+      "  elapsed=0x1.ebae7584f88a4p-13 busy=0x1.70c2d823ba6d8p-6",
+      "  flops=0 sent=28344 recv=28344 msgs=1239",
+      "factor/interface/factor",
+      "  elapsed=0x1.3a3cbcc9ca64p-14 busy=0x1.d75b1b2eaf934p-8",
+      "  flops=3294 sent=0 recv=0 msgs=0",
+      "levels=5 max_reduced_row=0 pivots_guarded=0",
+      "factor/fill=0",
+      "factor/dropped=2536",
+      "factor/pivots_guarded=0"}));
+}
+
 TEST(ModeledChargePins, FactorPivotGuard) {
   // The 4x4, p=2 matrix of Pilut.PivotGuardWorksThroughPipeline: its
   // interface rows reach a zero pivot, so pilut and pilu0 run the pivot
