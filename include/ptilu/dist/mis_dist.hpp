@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ptilu/sim/machine.hpp"
@@ -24,15 +25,33 @@
 namespace ptilu {
 
 /// A distributed graph over a subset of a global id space.
+///
+/// `peers` is part of the graph, not of the MIS: whoever builds `adj`
+/// already knows the owner of every entry it writes, so it emits each
+/// vertex's remote-peer list on the way, and mis_dist never rescans the
+/// adjacency to route its notices. A graph built without that knowledge
+/// (tests, PILU0's pattern graph) fills the lists with derive_peers().
 struct DistGraph {
   idx n_global = 0;                       ///< size of the global id space
   const IdxVec* owner = nullptr;          ///< global id -> owning rank
   std::vector<IdxVec> verts_of;           ///< rank -> owned active vertices (ascending)
   std::vector<std::vector<IdxVec>> adj;   ///< [rank][i] -> neighbors of verts_of[rank][i]
                                           ///< (global ids, symmetrized, active only)
+  /// [rank][i] -> the ranks other than `rank` that own a neighbor of
+  /// verts_of[rank][i]: the owners of adj[rank][i] as a set, each once,
+  /// in any order.
+  std::vector<std::vector<std::vector<int>>> peers;
 
   idx total_vertices() const;
   idx total_edges_directed() const;
+
+  /// Recompute peers[r][i] from adj[r][i] (peers[r] must have a slot i).
+  void derive_peers(int r, std::size_t i);
+  /// Size `peers` like `adj` and derive every list.
+  void derive_peers();
+  /// Diagnose the first vertex whose peer list is not the owner set of its
+  /// adjacency ("" when all match). mis_dist runs it on checked machines.
+  std::string peer_mismatch() const;
 };
 
 struct DistMisOptions {
@@ -42,14 +61,17 @@ struct DistMisOptions {
 
 /// Reusable dense per-rank status arrays. The PILUT driver calls mis_dist
 /// once per reduced-matrix level — hundreds to thousands of times — so the
-/// scratch is allocated once and reset via touched-lists between calls.
-/// Besides the status arrays it pools every per-call buffer whose repeated
-/// construction showed up in wall-clock profiles: the per-neighbor outgoing
-/// update batches, a per-vertex CSR of remote peer ranks (so a status-change
-/// notification walks the handful of peers instead of the full adjacency
-/// list), and a per-round memo of the Luby vertex keys (so a key is hashed
-/// once per round instead of once per incident edge). None of this changes
-/// the modeled machine costs — the same messages and charges are produced.
+/// scratch is allocated once and reset between calls from the short list of
+/// mirror entries a received notice changed (every other entry of a rank's
+/// status array is either owned, and reset from verts_of, or was never
+/// written). Besides the status arrays it pools every per-call buffer whose
+/// repeated construction showed up in wall-clock profiles: the per-neighbor
+/// outgoing update batches, a per-vertex CSR of peer slots (the graph's
+/// peer lists remapped to slots, so a status-change notification walks the
+/// handful of peers instead of the full adjacency list), and a per-round
+/// memo of the Luby vertex keys (so a key is hashed once per round instead
+/// of once per incident edge). None of this changes the modeled machine
+/// costs — the same messages and charges are produced.
 ///
 /// Sparse neighbor routing: each rank's outgoing batches are indexed by a
 /// *slot* into its sorted neighbor list `nbrs[rank]` (the ranks owning at
@@ -69,14 +91,14 @@ struct DistMisOptions {
 /// identical keys — just computed once per lane instead of once globally.
 struct DistMisScratch {
   std::vector<std::vector<std::uint8_t>> status;  // [rank][global id]
-  std::vector<IdxVec> touched;                    // entries to reset per rank
+  std::vector<IdxVec> changed;  // [rank] mirror entries a received notice set
 
   // Pooled per-call working buffers (capacity persists across calls).
   std::vector<std::vector<int>> nbrs;          // [rank] sorted dedup'd peer ranks
   std::vector<std::vector<IdxVec>> in_batch;   // [rank][slot] queued kIn notices
   std::vector<std::vector<IdxVec>> out_batch;  // [rank][slot] queued kOut notices
   std::vector<IdxVec> peer_start;  // [rank] CSR offsets: local vertex -> peer slice
-  std::vector<std::vector<int>> peer_list;  // [rank] slots into nbrs[rank], dedup'd
+  std::vector<std::vector<int>> peer_list;  // [rank] graph.peers as slots into nbrs[rank]
   std::vector<std::vector<std::uint8_t>> peer_stamp;  // [lane] dedup stamp over ranks
   std::vector<IdxVec> selected;   // [lane] per-round winners
   std::vector<long long> cand_lane;  // [lane] candidates-left partial sums

@@ -1,6 +1,7 @@
 #include "ptilu/dist/mis_dist.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "ptilu/sim/trace.hpp"
 #include "ptilu/support/check.hpp"
@@ -31,12 +32,61 @@ idx DistGraph::total_edges_directed() const {
   return total;
 }
 
+void DistGraph::derive_peers(int r, std::size_t i) {
+  std::vector<int>& ranks = peers[r][i];
+  ranks.clear();
+  for (const idx u : adj[r][i]) {
+    const int peer = (*owner)[u];
+    if (peer != r && std::find(ranks.begin(), ranks.end(), peer) == ranks.end()) {
+      ranks.push_back(peer);
+    }
+  }
+}
+
+void DistGraph::derive_peers() {
+  peers.resize(adj.size());
+  for (std::size_t r = 0; r < adj.size(); ++r) {
+    peers[r].resize(adj[r].size());
+    for (std::size_t i = 0; i < adj[r].size(); ++i) derive_peers(static_cast<int>(r), i);
+  }
+}
+
+std::string DistGraph::peer_mismatch() const {
+  std::vector<int> want, have;
+  for (std::size_t r = 0; r < adj.size(); ++r) {
+    for (std::size_t i = 0; i < adj[r].size(); ++i) {
+      want.clear();
+      for (const idx u : adj[r][i]) {
+        if ((*owner)[u] != static_cast<int>(r)) want.push_back((*owner)[u]);
+      }
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      have = peers[r][i];
+      std::sort(have.begin(), have.end());
+      if (have != want) {
+        std::ostringstream os;
+        const auto list = [&](const std::vector<int>& ranks) {
+          os << '{';
+          for (std::size_t k = 0; k < ranks.size(); ++k) os << (k ? "," : "") << ranks[k];
+          os << '}';
+        };
+        os << "rank " << r << " vertex " << verts_of[r][i] << " lists peers ";
+        list(have);
+        os << " but its adjacency is owned by ";
+        list(want);
+        return os.str();
+      }
+    }
+  }
+  return "";
+}
+
 void DistMisScratch::ensure(int nranks, int lanes, idx n_global) {
   if (static_cast<int>(status.size()) < nranks) status.resize(nranks);
   for (auto& s : status) {
     if (static_cast<idx>(s.size()) < n_global) s.assign(n_global, kCandidate);
   }
-  if (static_cast<int>(touched.size()) < nranks) touched.resize(nranks);
+  if (static_cast<int>(changed.size()) < nranks) changed.resize(nranks);
   // Outer vectors only: the per-rank batch vectors are sized by each rank's
   // neighbor degree during setup, so total batch storage stays proportional
   // to the communication graph — never the former O(nranks²).
@@ -72,8 +122,21 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
   const int nranks = machine.nranks();
   PTILU_CHECK(graph.owner != nullptr, "DistGraph missing owner array");
   PTILU_CHECK(static_cast<int>(graph.verts_of.size()) == nranks &&
-                  static_cast<int>(graph.adj.size()) == nranks,
+                  static_cast<int>(graph.adj.size()) == nranks &&
+                  static_cast<int>(graph.peers.size()) == nranks,
               "DistGraph rank count mismatch");
+  for (int r = 0; r < nranks; ++r) {
+    PTILU_CHECK(graph.adj[r].size() == graph.verts_of[r].size() &&
+                    graph.peers[r].size() == graph.verts_of[r].size(),
+                "DistGraph rank " << r << " has " << graph.verts_of[r].size()
+                                  << " vertices but " << graph.adj[r].size()
+                                  << " adjacency and " << graph.peers[r].size()
+                                  << " peer lists");
+  }
+  if (machine.checking()) {
+    const std::string mismatch = graph.peer_mismatch();
+    PTILU_CHECK(mismatch.empty(), "DistGraph peer lists are stale: " << mismatch);
+  }
 
   DistMisScratch local_scratch;
   DistMisScratch& sc = scratch != nullptr ? *scratch : local_scratch;
@@ -83,55 +146,36 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
   // phase of their own; the tag nests under whatever phase is active.
   sim::ScopedPhase mis_phase(machine, "mis");
 
-  // Setup phase (the paper's "communication setup"): initialize owned and
-  // mirror statuses. While the same pass is over the adjacency anyway, it
-  // also records for each owned vertex the dedup'd list of remote peer
-  // ranks (CSR layout in the scratch): a status-change notification then
-  // walks that short list instead of rescanning the vertex's adjacency.
-  // Peer order matches first occurrence in the adjacency list, so the
-  // queued batches — and hence the messages — are byte-identical to the
-  // lazy-discovery scheme this replaces.
+  // Setup phase (the paper's "communication setup"). The graph carries
+  // each vertex's remote-peer list, so setup touches only those lists, not
+  // the adjacency: it collects the rank's neighbor ranks and remaps the
+  // lists to slots (CSR layout in the scratch). The status arrays need no
+  // writes — every call starts with all entries at kCandidate. The modeled
+  // charge is still one word per adjacency entry, the scan a real rank
+  // makes to learn its peers.
   {
   sim::ScopedPhase span(machine, "setup");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    auto& status = sc.status[r];
-    auto& touched = sc.touched[r];
     auto& pstart = sc.peer_start[r];
     auto& plist = sc.peer_list[r];
     auto& nbrs = sc.nbrs[r];
     auto& peer_stamp = sc.peer_stamp[static_cast<std::size_t>(ctx.lane())];
-    const IdxVec& verts = graph.verts_of[r];
+    const std::size_t nverts = graph.verts_of[r].size();
     pstart.clear();
-    pstart.reserve(verts.size() + 1);
+    pstart.reserve(nverts + 1);
     pstart.push_back(0);
     plist.clear();
     nbrs.clear();
     std::uint64_t scanned = 0;
-    // peer_stamp doubles as two dedup marks per peer: bit 0 scopes the
-    // per-vertex peer list, bit 1 the rank-wide neighbor list.
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      status[verts[i]] = kCandidate;
-      touched.push_back(verts[i]);
-      const std::size_t first_peer = plist.size();
-      for (const idx u : graph.adj[r][i]) {
-        ++scanned;
-        const int peer = (*graph.owner)[u];
-        if (peer != r) {
-          status[u] = kCandidate;  // mirror entry
-          touched.push_back(u);
-          if (!(peer_stamp[peer] & 1)) {
-            peer_stamp[peer] |= 1;
-            plist.push_back(peer);
-          }
-          if (!(peer_stamp[peer] & 2)) {
-            peer_stamp[peer] |= 2;
-            nbrs.push_back(peer);
-          }
+    for (std::size_t i = 0; i < nverts; ++i) {
+      scanned += graph.adj[r][i].size();
+      for (const int peer : graph.peers[r][i]) {
+        plist.push_back(peer);
+        if (!peer_stamp[peer]) {
+          peer_stamp[peer] = 1;
+          nbrs.push_back(peer);
         }
-      }
-      for (std::size_t p = first_peer; p < plist.size(); ++p) {
-        peer_stamp[plist[p]] &= static_cast<std::uint8_t>(~1);
       }
       pstart.push_back(static_cast<idx>(plist.size()));
     }
@@ -139,7 +183,9 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
     // per-vertex peer CSR from rank ids to slots into that sorted list, and
     // size the slot-indexed outgoing batches by the neighbor degree.
     // Flushing slots in order then visits peers in ascending rank order —
-    // the exact send order the dense 0..p-1 peer scan produced.
+    // the exact send order the dense 0..p-1 peer scan produced. (The order
+    // within one vertex's list is free: notify appends the vertex once to
+    // each of its slots' batches.)
     std::sort(nbrs.begin(), nbrs.end());
     for (const int peer : nbrs) peer_stamp[peer] = 0;
     for (int& entry : plist) {
@@ -203,6 +249,7 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       const int r = ctx.rank();
       const auto lane = static_cast<std::size_t>(ctx.lane());
       auto& status = sc.status[r];
+      auto& changed = sc.changed[r];
       auto& key = sc.key[lane];
       auto& key_stamp = sc.key_stamp[lane];
       const auto key_of = [&](idx v) {
@@ -215,7 +262,11 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       for (const sim::MessageView& msg : ctx.recv_all()) {
         const std::uint8_t value = msg.tag == kTagIn ? kIn : kOut;
         const std::size_t count = sim::payload_count<idx>(msg);
-        for (std::size_t t = 0; t < count; ++t) status[sim::payload_at<idx>(msg, t)] = value;
+        for (std::size_t t = 0; t < count; ++t) {
+          const idx u = sim::payload_at<idx>(msg, t);
+          status[u] = value;
+          changed.push_back(u);
+        }
       }
 
       const IdxVec& verts = graph.verts_of[r];
@@ -284,16 +335,18 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
   }
   machine.check_quiescent("mis/end");
 
+  // Collect the set and reset the scratch for the next call: owned entries
+  // from the vertex lists, mirror entries from the changed lists (each
+  // mirror changes at most once, so those lists hold no repeats).
   IdxVec result;
   for (int r = 0; r < nranks; ++r) {
+    auto& status = sc.status[r];
     for (const idx v : graph.verts_of[r]) {
-      if (sc.status[r][v] == kIn) result.push_back(v);
+      if (status[v] == kIn) result.push_back(v);
+      status[v] = kCandidate;
     }
-  }
-  // Reset scratch for the next call.
-  for (int r = 0; r < nranks; ++r) {
-    for (const idx v : sc.touched[r]) sc.status[r][v] = kCandidate;
-    sc.touched[r].clear();
+    for (const idx u : sc.changed[r]) status[u] = kCandidate;
+    sc.changed[r].clear();
   }
   std::sort(result.begin(), result.end());
   return result;

@@ -116,22 +116,32 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
   // graph is the classic Jones–Plassmann scheme.
 
   // Symmetrized interface adjacency (interface-to-interface couplings only),
-  // built once: local edges directly, reverse edges via one exchange.
+  // built once from the symmetrized pattern, with each vertex's peer list.
+  // The residual graph lives directly in the DistGraph: each class strips
+  // its vertices in place instead of deep-copying the adjacency per color.
   const Csr sym = symmetrize_pattern(a);
-  std::vector<std::vector<IdxVec>> adj(nranks);
+  DistGraph graph;
+  graph.n_global = n;
+  graph.owner = &dist.owner;
+  graph.verts_of = active;  // active is still needed for the factor phases
+  graph.adj.resize(nranks);
+  graph.peers.resize(nranks);
   {
   sim::ScopedPhase span(machine, "factor/color/setup");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    adj[r].resize(active[r].size());
+    std::vector<IdxVec>& adj = graph.adj[r];
+    adj.resize(active[r].size());
+    graph.peers[r].resize(active[r].size());
     std::uint64_t scanned = 0;
     for (std::size_t i = 0; i < active[r].size(); ++i) {
       const idx v = active[r][i];
       for (nnz_t k = sym.row_ptr[v]; k < sym.row_ptr[v + 1]; ++k) {
         const idx c = sym.col_idx[k];
         ++scanned;
-        if (c != v && dist.interface[c]) adj[r][i].push_back(c);
+        if (c != v && dist.interface[c]) adj[i].push_back(c);
       }
+      graph.derive_peers(r, i);
     }
     ctx.charge_mem(scanned * sizeof(idx));
   }, "pilu0/color/setup");
@@ -142,13 +152,6 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
   {
     sim::ScopedPhase color_span(machine, "factor/color");
     DistMisScratch mis_scratch;
-    // The residual graph lives directly in the DistGraph: each class strips
-    // its vertices in place instead of deep-copying the adjacency per color.
-    DistGraph graph;
-    graph.n_global = n;
-    graph.owner = &dist.owner;
-    graph.verts_of = active;  // active is still needed for the factor phases
-    graph.adj = std::move(adj);
     long long uncolored = run.remaining;
     while (uncolored > 0) {
       IdxVec cls = mis_dist(machine, graph,
@@ -157,22 +160,28 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
       uncolored -= static_cast<long long>(cls.size());
       // Strip the class from the residual graph, keeping the order of what
       // remains: mis_dist's modeled comparison counts depend on the order
-      // of adjacency entries. Earlier classes are already gone, so only
-      // this class needs a stamp.
+      // of adjacency entries. A vertex that lost neighbors re-derives its
+      // peer list, so no notice goes to a rank it no longer borders.
+      // Earlier classes are already gone, so only this class needs a stamp.
       for (const idx v : cls) in_class[v] = 1;
       for (int r = 0; r < nranks; ++r) {
         IdxVec& verts = graph.verts_of[r];
         std::vector<IdxVec>& vadj = graph.adj[r];
+        std::vector<std::vector<int>>& vpeers = graph.peers[r];
         std::size_t kept = 0;
         for (std::size_t i = 0; i < verts.size(); ++i) {
           if (in_class[verts[i]]) continue;
-          std::erase_if(vadj[i], [&](idx u) { return in_class[u] != 0; });
+          const bool stripped =
+              std::erase_if(vadj[i], [&](idx u) { return in_class[u] != 0; }) > 0;
           verts[kept] = verts[i];
-          std::swap(vadj[kept], vadj[i]);  // keeps both lists' capacity
+          std::swap(vadj[kept], vadj[i]);  // keeps the lists' capacity
+          std::swap(vpeers[kept], vpeers[i]);
+          if (stripped) graph.derive_peers(r, kept);
           ++kept;
         }
         verts.resize(kept);
         vadj.resize(kept);
+        vpeers.resize(kept);
       }
       for (const idx v : cls) in_class[v] = 0;
       classes.push_back(std::move(cls));

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "detail.hpp"
 #include "ptilu/dist/mis_dist.hpp"
-#include "ptilu/ilu/working_row.hpp"
 #include "ptilu/sim/trace.hpp"
 #include "ptilu/support/check.hpp"
 
@@ -24,10 +24,23 @@ using pilut_detail::Lane;
 /// concurrent bodies never share mutable scratch.
 struct LevelLane {
   std::vector<IdxVec> reverse_out;  // setup: peer -> (target, source) pairs
-  IdxVec elim_cols;                 // reduce: this row's I_l columns
+  // setup: dedup marks for the peer lists. A peer rank is listed for a
+  // vertex when its mark differs from the current epoch, and a fresh epoch
+  // starts per vertex (out-edges) and per message (reverse edges), so the
+  // marks never need a reset.
+  std::vector<std::uint64_t> rank_mark;  // rank -> epoch that last listed it
+  std::vector<std::uint64_t> vert_mark;  // vertex -> epoch that last saw it
+  std::uint64_t epoch = 0;
+  // reduce: column -> slot_base + its position in the tail of the row at
+  // hand. slot_base advances past every row's positions, so an entry below
+  // it is stale and the map never needs a reset.
+  std::vector<std::uint64_t> slot;
+  std::uint64_t slot_base = 1;
+  IdxVec order;                     // reduce: the row's I_l positions, elimination order
   long long edges = 0;              // setup: this lane's share of the edge count
 
-  explicit LevelLane(int nranks) : reverse_out(nranks) {}
+  LevelLane(int nranks, idx n)
+      : reverse_out(nranks), rank_mark(nranks, 0), vert_mark(n, 0), slot(n, 0) {}
 };
 
 }  // namespace
@@ -71,9 +84,16 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
   graph.owner = &dist.owner;
   graph.verts_of.resize(nranks);
   graph.adj.resize(nranks);
+  graph.peers.resize(nranks);
   std::vector<LevelLane> level_lanes(static_cast<std::size_t>(machine.scratch_lanes()),
-                                     LevelLane(nranks));
+                                     LevelLane(nranks, n));
   pilut_detail::UrowExchange urows(run);
+  // Per rank: where the I_l columns sit in its remaining rows' tails, as
+  // [row, count, position...] records (positions ascending, rows in active
+  // order), written by the U-row request scan and read by the reduce. Per
+  // rank, not per lane: every rank's request body runs before any reduce
+  // body.
+  std::vector<IdxVec> elim_of(nranks);
 
   // ================= Phase 2: iterative interface factorization ===========
   // Phase tags cover the paper's breakdown of interface work: communication
@@ -85,33 +105,54 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     // Tail columns are exactly the unfactored interface vertices, so the
     // directed adjacency of vertex v is its tail pattern; reverse edges to
     // remote owners travel in one superstep (the "communication setup").
+    // The same pass emits each vertex's remote-peer list for mis_dist: the
+    // owner of every out-edge is loaded here anyway, and the peer of a
+    // remote reverse edge is its sender.
     std::vector<std::vector<IdxVec>>& adj = graph.adj;
+    std::vector<std::vector<std::vector<int>>>& peers = graph.peers;
     {
     sim::ScopedPhase span(machine, "setup");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      std::vector<IdxVec>& reverse_out =
-          level_lanes[static_cast<std::size_t>(ctx.lane())].reverse_out;
+      LevelLane& lane = level_lanes[static_cast<std::size_t>(ctx.lane())];
+      std::vector<IdxVec>& reverse_out = lane.reverse_out;
       for (auto& neighbors : adj[r]) neighbors.clear();  // keep inner capacity
+      for (auto& ranks : peers[r]) ranks.clear();
       adj[r].resize(active[r].size());
+      peers[r].resize(active[r].size());
       for (std::size_t i = 0; i < active[r].size(); ++i) {
         pos_dense[active[r][i]] = static_cast<idx>(i);
       }
       std::uint64_t touched = 0;
       for (std::size_t i = 0; i < active[r].size(); ++i) {
         const idx v = active[r][i];
-        for (const idx c : tails[v].cols) {
+        const std::uint64_t epoch = ++lane.epoch;
+        // Out-edges v -> c: the tail without its diagonal, written through
+        // a raw cursor after the reverse edges earlier vertices left. No
+        // reverse edge lands on v while its own tail is walked (that would
+        // need c == v), so the cursor stays valid.
+        IdxVec& out = adj[r][i];
+        const std::size_t first = out.size();
+        const IdxVec& cols = tails[v].cols;
+        out.resize(first + cols.size());
+        idx* next = out.data() + first;
+        for (const idx c : cols) {
           if (c == v) continue;
-          ++touched;
-          adj[r][i].push_back(c);  // out-edge v -> c
+          *next++ = c;
           const int peer = dist.owner[c];
           if (peer == r) {
             adj[r][pos_dense[c]].push_back(v);  // local reverse edge
           } else {
             reverse_out[peer].push_back(c);
             reverse_out[peer].push_back(v);
+            if (lane.rank_mark[peer] != epoch) {
+              lane.rank_mark[peer] = epoch;
+              peers[r][i].push_back(peer);
+            }
           }
         }
+        out.resize(static_cast<std::size_t>(next - out.data()));
+        touched += out.size() - first;
       }
       ctx.charge_mem(touched * sizeof(idx));
       for (int peer = 0; peer < nranks; ++peer) {
@@ -126,9 +167,18 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       LevelLane& lane = level_lanes[static_cast<std::size_t>(ctx.lane())];
       for (const sim::MessageView& msg : ctx.recv_all()) {
         const std::size_t count = sim::payload_count<idx>(msg);
+        const std::uint64_t epoch = ++lane.epoch;
         for (std::size_t p = 0; p + 1 < count; p += 2) {
-          adj[r][pos_dense[sim::payload_at<idx>(msg, p)]].push_back(
-              sim::payload_at<idx>(msg, p + 1));
+          const idx c = sim::payload_at<idx>(msg, p);
+          const idx target = pos_dense[c];
+          adj[r][target].push_back(sim::payload_at<idx>(msg, p + 1));
+          if (lane.vert_mark[c] != epoch) {  // first edge from msg.from
+            lane.vert_mark[c] = epoch;
+            std::vector<int>& ranks = peers[r][target];
+            if (std::find(ranks.begin(), ranks.end(), msg.from) == ranks.end()) {
+              ranks.push_back(msg.from);
+            }
+          }
         }
       }
       // Duplicate adjacency entries (an edge present in both tails) are
@@ -219,78 +269,111 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     // --- Exchange the U rows that remote eliminations will need. Each rank
     // scans its remaining rows' tails for set members owned elsewhere,
     // requests those rows, and owners reply within the same superstep pair.
+    // The scan records where every row's I_l columns are, so the reduce
+    // below visits only the rows this level touches, without a rescan.
     urows.exchange(
         [&](int r, auto&& need) {
+          IdxVec& elim = elim_of[r];
+          elim.clear();
           for (const idx i : active[r]) {
             if (in_set[i]) continue;
-            for (const idx c : tails[i].cols) {
-              if (in_set[c]) need(c);
+            const IdxVec& cols = tails[i].cols;
+            const std::size_t head = elim.size();
+            for (std::size_t p = 0; p < cols.size(); ++p) {
+              if (!in_set[cols[p]]) continue;
+              need(cols[p]);
+              if (elim.size() == head) elim.insert(elim.end(), {i, 0});
+              elim.push_back(static_cast<idx>(p));
             }
+            if (elim.size() != head) elim[head + 1] = static_cast<idx>(elim.size() - head - 2);
           }
         },
         "pilut/exchange/request", "pilut/exchange/reply");
 
     // --- Receive U rows and eliminate I_l columns from the remaining rows
-    // (Algorithm 4.2), forming the next reduced matrix.
+    // (Algorithm 4.2), forming the next reduced matrix. The elimination
+    // runs in place on the tail: `slot` maps a column to its position, an
+    // update lands on its entry, fill is appended, and the I_l entries are
+    // cut out at their recorded positions. That is the floating-point work
+    // and the entry order of a working-row elimination plus rebuild_tail
+    // (fill never lands on I_l: a U row's columns are its row's neighbors,
+    // and I_l is independent), so the tails — and the next level's graph —
+    // are bit-identical to it.
     {
     sim::ScopedPhase span(machine, "reduce");
     machine.step([&](sim::RankContext& ctx) {
       const auto urow_of = urows.receive(ctx);
       Lane& lane = run.lane(ctx);
-      WorkingRow& w = lane.w;
-      IdxVec& elim_cols = level_lanes[static_cast<std::size_t>(ctx.lane())].elim_cols;
+      LevelLane& level = level_lanes[static_cast<std::size_t>(ctx.lane())];
+      std::vector<std::uint64_t>& slot = level.slot;
+      IdxVec& order = level.order;
+      const IdxVec& elim = elim_of[ctx.rank()];
       std::uint64_t flops = 0, copied = 0;
       pilut_detail::FillDropTally tally;
-      for (const idx i : active[ctx.rank()]) {
-        if (in_set[i]) continue;
+      for (std::size_t head = 0; head < elim.size();) {
+        const idx i = elim[head];
+        const auto positions = std::span(elim).subspan(head + 2, elim[head + 1]);
+        head += 2 + positions.size();
         SparseRow& tail = tails[i];
-        // Pre-scan: rows with no I_l columns are untouched by this level.
-        elim_cols.clear();
-        for (const idx c : tail.cols) {
-          if (in_set[c]) elim_cols.push_back(c);
-        }
-        if (elim_cols.empty()) continue;
         const real tau_i = opts.tau * run.norms[i];
-        for (std::size_t p = 0; p < tail.size(); ++p) {
-          w.insert(tail.cols[p], tail.vals[p]);
-        }
+        const std::uint64_t base = level.slot_base;
+        for (std::size_t p = 0; p < tail.size(); ++p) slot[tail.cols[p]] = base + p;
         // Ascending new number keeps the arithmetic order identical to the
         // serial elimination on the permuted matrix.
-        std::sort(elim_cols.begin(), elim_cols.end(),
-                  [&](idx x, idx y) { return sched.newnum[x] < sched.newnum[y]; });
-        for (const idx k : elim_cols) {
-          const SparseRow& urow = urow_of(k);
-          const real multiplier = w.value(k) / urow.vals[0];  // diag stored first
+        order.assign(positions.begin(), positions.end());
+        std::sort(order.begin(), order.end(), [&](idx x, idx y) {
+          return sched.newnum[tail.cols[x]] < sched.newnum[tail.cols[y]];
+        });
+        for (const idx pos : order) {
+          const SparseRow& urow = urow_of(tail.cols[pos]);
+          const real multiplier = tail.vals[pos] / urow.vals[0];  // diag stored first
           ++flops;
           if (std::abs(multiplier) < tau_i) {  // 1st dropping rule
-            w.set(k, 0.0);
+            tail.vals[pos] = 0.0;
             ++tally.dropped;
             continue;
           }
-          w.set(k, multiplier);
+          tail.vals[pos] = multiplier;
           // Strictly-upper entries only — the loop starts at p = 1.
           flops += 2 * static_cast<std::uint64_t>(urow.size() - 1);
           for (std::size_t p = 1; p < urow.size(); ++p) {
             const idx c = urow.cols[p];
             const real update = -multiplier * urow.vals[p];
-            if (w.present(c)) {
-              w.accumulate(c, update);
-            } else {
-              w.insert(c, update);  // fill lands on unfactored columns only
+            if (slot[c] >= base) {
+              tail.vals[slot[c] - base] += update;
+            } else {  // fill lands on unfactored columns only
+              slot[c] = base + tail.size();
+              tail.push(c, update);
               ++tally.fill;
             }
           }
         }
+        level.slot_base = base + tail.size();
         // Merge surviving multipliers into L and re-apply the 3rd rule.
         SparseRow& lrow = run.state.lrows[i];
-        for (const idx k : elim_cols) {
-          const real v = w.value(k);
-          if (v != 0.0) lrow.push(k, v);
+        for (const idx pos : order) {
+          if (tail.vals[pos] != 0.0) lrow.push(tail.cols[pos], tail.vals[pos]);
         }
         pilut_detail::keep_largest(lrow, opts.m, tau_i, -1, lane.scratch, tally);
-        // Rebuild the tail from the unfactored columns.
-        copied += pilut_detail::rebuild_tail(
-            run, lane, i, opts, [&](idx c) { return in_set[c] != 0; }, tally);
+        // Cut the I_l entries out, keeping the order of the rest.
+        std::size_t kept = static_cast<std::size_t>(positions[0]);
+        for (std::size_t j = 0; j < positions.size(); ++j) {
+          const std::size_t from = static_cast<std::size_t>(positions[j]) + 1;
+          const std::size_t to = j + 1 < positions.size()
+                                     ? static_cast<std::size_t>(positions[j + 1])
+                                     : tail.size();
+          std::copy(tail.cols.begin() + from, tail.cols.begin() + to, tail.cols.begin() + kept);
+          std::copy(tail.vals.begin() + from, tail.vals.begin() + to, tail.vals.begin() + kept);
+          kept += to - from;
+        }
+        tail.cols.resize(kept);
+        tail.vals.resize(kept);
+        if (opts.cap_k > 0) {
+          pilut_detail::keep_largest(tail, opts.cap_k * opts.m, 0.0, i, lane.scratch, tally);
+        }
+        lane.max_reduced_row =
+            std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
+        copied += tail.size() * (sizeof(idx) + sizeof(real));
       }
       ctx.charge_flops(flops);
       ctx.charge_mem(copied);

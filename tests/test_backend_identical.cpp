@@ -220,6 +220,7 @@ TEST(BackendIdentical, MisDistSetsMatch) {
         graph.adj[r][i].assign(nbrs.begin(), nbrs.end());
       }
     }
+    graph.derive_peers();
     const auto run = [&](const sim::Machine::Options& opts) {
       sim::Machine machine(nranks, opts);
       const IdxVec set = mis_dist(machine, graph, {.seed = 7, .rounds = 8});

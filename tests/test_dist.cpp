@@ -2,14 +2,21 @@
 // SpMV, and the distributed Luby MIS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "ptilu/dist/distcsr.hpp"
 #include "ptilu/dist/mis_dist.hpp"
 #include "ptilu/graph/graph.hpp"
 #include "ptilu/graph/mis.hpp"
+#include "ptilu/pilut/pilu0.hpp"
+#include "ptilu/pilut/pilut.hpp"
 #include "ptilu/sparse/spmv.hpp"
 #include "ptilu/sparse/vector_ops.hpp"
+#include "ptilu/support/check.hpp"
 #include "ptilu/workloads/grids.hpp"
 #include "ptilu/workloads/rhs.hpp"
+#include "ptilu/workloads/torso.hpp"
 
 namespace ptilu {
 namespace {
@@ -164,6 +171,7 @@ struct DistGraphFixture {
         dist.adj[r][i].assign(nbrs.begin(), nbrs.end());
       }
     }
+    dist.derive_peers();
   }
 };
 
@@ -245,6 +253,7 @@ TEST(MisDist, EmptyGraphGivesEmptySet) {
   dist.owner = &owner;
   dist.verts_of.resize(2);
   dist.adj.resize(2);
+  dist.derive_peers();
   sim::Machine machine(2);
   EXPECT_TRUE(mis_dist(machine, dist).empty());
 }
@@ -275,17 +284,102 @@ TEST(Halo, SingleRankExchangesNothing) {
 
 TEST(MisDist, ScratchReuseIsClean) {
   // Reusing one scratch across many calls must not leak state between them.
+  // The two partitions give the ranks different owned and mirror sets, so
+  // a status entry a call leaves set would show in the next graph's set.
+  const Csr a = workloads::convection_diffusion_2d(12, 12);
+  const Graph g = graph_from_pattern(a);
+  const Partition kway = partition_kway(g, 4);
+  Partition strips;
+  strips.nparts = 4;
+  strips.part.resize(g.n);
+  for (idx v = 0; v < g.n; ++v) strips.part[v] = static_cast<idx>(v * 4 / g.n);
+  DistGraphFixture first(g, kway);
+  DistGraphFixture second(g, strips);
+  const auto fresh = [](const DistGraph& graph, std::uint64_t seed) {
+    sim::Machine machine(4);
+    return mis_dist(machine, graph, {.seed = seed, .rounds = 5});
+  };
+  DistMisScratch scratch;
+  sim::Machine machine(4);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      EXPECT_EQ(mis_dist(machine, first.dist, {.seed = seed, .rounds = 5}, &scratch),
+                fresh(first.dist, seed))
+          << "k-way partition, pass " << pass << ", seed " << seed;
+      EXPECT_EQ(mis_dist(machine, second.dist, {.seed = seed, .rounds = 5}, &scratch),
+                fresh(second.dist, seed))
+          << "strip partition, pass " << pass << ", seed " << seed;
+    }
+  }
+}
+
+TEST(MisDist, PeerListsAreTheAdjacencyOwners) {
   const Csr a = workloads::convection_diffusion_2d(12, 12);
   const Graph g = graph_from_pattern(a);
   const Partition p = partition_kway(g, 4);
   DistGraphFixture fixture(g, p);
-  DistMisScratch scratch;
-  sim::Machine machine(4);
-  const IdxVec first = mis_dist(machine, fixture.dist, {.seed = 3, .rounds = 5}, &scratch);
-  const IdxVec second = mis_dist(machine, fixture.dist, {.seed = 3, .rounds = 5}, &scratch);
-  EXPECT_EQ(first, second);
-  const IdxVec fresh = mis_dist(machine, fixture.dist, {.seed = 3, .rounds = 5});
-  EXPECT_EQ(first, fresh);
+  DistGraph& graph = fixture.dist;
+  EXPECT_EQ(graph.peer_mismatch(), "");
+  for (int r = 0; r < 4; ++r) {
+    for (std::size_t i = 0; i < graph.verts_of[r].size(); ++i) {
+      for (const int peer : graph.peers[r][i]) {
+        EXPECT_NE(peer, r);
+        EXPECT_EQ(std::count(graph.peers[r][i].begin(), graph.peers[r][i].end(), peer), 1);
+      }
+    }
+  }
+  // A stale list — a peer dropped, or one the adjacency no longer has — is
+  // named by vertex, and a checked machine refuses to run the MIS on it.
+  int r = 0;
+  std::size_t i = 0;
+  while (graph.peers[r][i].empty()) {
+    if (++i == graph.verts_of[r].size()) {
+      ++r;
+      i = 0;
+    }
+  }
+  const std::vector<int> kept = graph.peers[r][i];
+  graph.peers[r][i].pop_back();
+  const std::string mismatch = graph.peer_mismatch();
+  EXPECT_NE(mismatch.find("vertex " + std::to_string(graph.verts_of[r][i])),
+            std::string::npos)
+      << mismatch;
+  sim::Machine checked(4, sim::Machine::Options{.check = true});
+  try {
+    (void)mis_dist(checked, graph, {.seed = 1, .rounds = 5});
+    ADD_FAILURE() << "a stale peer list passed a checked machine";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("peer lists are stale"), std::string::npos)
+        << e.what();
+  }
+  graph.peers[r][i] = kept;
+  graph.peers[r][i].push_back(r == 0 ? 1 : 0);
+  EXPECT_NE(graph.peer_mismatch(), "");
+}
+
+TEST(MisDist, FactorGraphBuildsKeepPeerListsCurrent) {
+  // PILUT emits the peer lists while it builds each level's reduced graph,
+  // and PILU0 refreshes them as it strips each colour class. A checked
+  // machine makes every mis_dist call compare them with the owners of the
+  // adjacency (as sets), so these runs check every level's graph and every
+  // stripped colouring graph of the TORSO pin matrix.
+  workloads::TorsoOptions opts;
+  opts.nx = 8;
+  opts.ny = 8;
+  opts.nz = 10;
+  const DistCsr dist = make_dist(workloads::fem_torso_3d(opts).a, 4);
+  sim::Machine::Options checked;
+  checked.check = true;
+  {
+    sim::Machine machine(4, checked);
+    const PilutResult res = pilut_factor(machine, dist, {.m = 10, .tau = 1e-4});
+    EXPECT_GT(res.stats.levels, 1);
+  }
+  {
+    sim::Machine machine(4, checked);
+    const PilutResult res = pilu0_factor(machine, dist, {.pivot_rel = 1e-12});
+    EXPECT_GT(res.stats.levels, 1);  // the graph was stripped between calls
+  }
 }
 
 }  // namespace

@@ -244,6 +244,7 @@ TEST(MetricsIdentities, MisDist) {
         graph.adj[r][i].assign(nbrs.begin(), nbrs.end());
       }
     }
+    graph.derive_peers();
     sim::Machine machine(nranks, metrics_opts());
     mis_dist(machine, graph, {.seed = 7, .rounds = 8});
     expect_identities(machine);

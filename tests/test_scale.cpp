@@ -177,6 +177,7 @@ TEST(ScaleIdentity, MisDistRingAtP2048AcrossBackends) {
       g.adj[r].push_back({(v + n - 1) % n, (v + 1) % n});
     }
   }
+  g.derive_peers();
   sim::Machine seq(p, backend_opts(sim::Backend::kSequential));
   sim::Machine thr(p, backend_opts(sim::Backend::kThreads));
   const IdxVec picked_seq = mis_dist(seq, g, {.seed = 7, .rounds = 6});
