@@ -3,11 +3,16 @@
 
 Stdlib only (unittest); exit 0 when every case passes.
 """
+import contextlib
+import io
+import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import check_trace  # noqa: E402
 import ptilu_check  # noqa: E402
 
 
@@ -95,6 +100,45 @@ class TraceEvents(unittest.TestCase):
         errors = []
         self.assertIsNone(ptilu_check.check_trace_events([], "t", errors))
         self.assertEqual(len(errors), 1)
+
+
+class CheckTraceFiles(unittest.TestCase):
+    """check_trace.py validates every file it is given, as the README's
+    glob command passes them."""
+
+    def run_check(self, docs, ranks=1):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for k, doc in enumerate(docs):
+                path = os.path.join(tmp, f"run{k}.trace.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(doc, handle)
+                paths.append(path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = check_trace.main(["--ranks", str(ranks)] + paths)
+            return status, out.getvalue()
+
+    def good(self):
+        return {"traceEvents": [process(0), span("a", 0, 1), span("b", 1, 2)]}
+
+    def test_two_valid_traces_pass(self):
+        status, out = self.run_check([self.good(), self.good()])
+        self.assertEqual(status, 0)
+        self.assertEqual(out.count("OK: "), 2)
+
+    def test_one_bad_trace_fails_the_run_but_the_other_is_still_checked(self):
+        overlapping = {"traceEvents": [process(0), span("a", 0, 2), span("b", 1, 2)]}
+        status, out = self.run_check([overlapping, self.good()])
+        self.assertEqual(status, 1)
+        self.assertIn("run0.trace.json", out)
+        self.assertIn("OK: ", out)
+        self.assertIn("run1.trace.json", out.split("OK: ")[1])
+
+    def test_rank_count_is_checked_per_file(self):
+        status, out = self.run_check([self.good(), self.good()], ranks=2)
+        self.assertEqual(status, 1)
+        self.assertEqual(out.count("expected rank pids"), 2)
 
 
 if __name__ == "__main__":
